@@ -80,26 +80,10 @@ void BM_Simulate(benchmark::State& state, const char* policy_name) {
 BENCHMARK_CAPTURE(BM_Simulate, tail_drop, "tail-drop");
 BENCHMARK_CAPTURE(BM_Simulate, greedy, "greedy");
 
-void BM_SimulateEventDriven(benchmark::State& state,
-                            const char* policy_name) {
-  const Stream& s = clip_stream();
-  const Bytes rate = sim::relative_rate(s, 0.9);
-  const Plan plan = Planner::from_buffer_rate(2 * s.max_frame_bytes(), rate);
-  for (auto _ : state) {
-    const SimReport report = sim::simulate(s, plan, policy_name, 1, {},
-                                           sim::EngineKind::EventDriven);
-    benchmark::DoNotOptimize(report.played.bytes);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          s.total_bytes());
-}
-BENCHMARK_CAPTURE(BM_SimulateEventDriven, tail_drop, "tail-drop");
-BENCHMARK_CAPTURE(BM_SimulateEventDriven, greedy, "greedy");
-
 // The reference clip re-timed into five-frame bursts separated by long
-// quiescent gaps — the regime the event engine exists for. The plan keeps
-// the dense clip's rate so each burst drains quickly and the gaps stay
-// quiescent; the slot core still walks every one of the ~160k slots.
+// quiescent gaps — the regime span skipping exists for. The plan keeps the
+// dense clip's rate so each burst drains quickly and the gaps stay
+// quiescent across ~160k slots.
 const Stream& sparse_burst_stream() {
   static const Stream s = [] {
     const Stream& base = clip_stream();
@@ -114,23 +98,18 @@ const Stream& sparse_burst_stream() {
   return s;
 }
 
-void BM_SimulateSparseBurst(benchmark::State& state,
-                            sim::EngineKind engine) {
+void BM_SimulateSparseBurst(benchmark::State& state) {
   const Stream& s = sparse_burst_stream();
   const Bytes rate = sim::relative_rate(clip_stream(), 0.9);
   const Plan plan = Planner::from_buffer_rate(2 * s.max_frame_bytes(), rate);
   for (auto _ : state) {
-    const SimReport report =
-        sim::simulate(s, plan, "tail-drop", 1, {}, engine);
+    const SimReport report = sim::simulate(s, plan, "tail-drop");
     benchmark::DoNotOptimize(report.played.bytes);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           s.total_bytes());
 }
-BENCHMARK_CAPTURE(BM_SimulateSparseBurst, slot_stepped,
-                  sim::EngineKind::SlotStepped);
-BENCHMARK_CAPTURE(BM_SimulateSparseBurst, event_driven,
-                  sim::EngineKind::EventDriven);
+BENCHMARK(BM_SimulateSparseBurst);
 
 }  // namespace
 

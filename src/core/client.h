@@ -109,11 +109,11 @@ class Client {
   /// empty buffer: the playout step of the first run at or after the frame
   /// cursor (zero-stored frames count — playing them marks played_out and
   /// can stall). kNever when no such step exists, including timer mode
-  /// before the timer arms. The event engine bounds skippable spans with
+  /// before the timer arms. The simulator bounds skippable spans with
   /// this, so play() is never skipped on a step where it would act.
   Time next_playout_event(Time now) const;
 
-  /// Registry back-fill for `n` quiescent steps the event engine skipped:
+  /// Registry back-fill for `n` quiescent steps the simulator skipped:
   /// exactly the per-step occupancy samples play() records for an empty
   /// buffer. No-op while telemetry is off.
   void record_idle_steps(std::int64_t n);

@@ -124,7 +124,7 @@ class SmoothingServer {
   /// True when both the buffer and the retransmission queue are empty.
   bool idle() const { return buffer_.empty() && retx_queue_.empty(); }
 
-  /// Registry back-fill for `n` quiescent steps the event engine skipped:
+  /// Registry back-fill for `n` quiescent steps the simulator skipped:
   /// the zero-valued per-step samples finish_step() records for an idle
   /// server (the byte counters add 0 on such steps, which is a no-op).
   /// No-op while telemetry is off.

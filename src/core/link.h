@@ -68,7 +68,7 @@ class Link {
   /// Earliest step >= now at which this link could deliver pieces or
   /// surface NACKs, assuming nothing further is submitted; kNever if it can
   /// stay silent forever. Conservative (early) answers are allowed — the
-  /// event engine just takes a live step and asks again — but claiming
+  /// simulator just takes a live step and asks again — but claiming
   /// silence while activity is possible is not. The default assumes any
   /// non-idle link may act on the very next step, which is always safe.
   virtual Time next_activity(Time now) const {
@@ -80,7 +80,7 @@ class Link {
   /// t would have on an idle span (RNG draws, telemetry records). Only
   /// links whose state evolves with time rather than traffic — the
   /// Gilbert-Elliott loss chain — do anything here; decorators must forward
-  /// to their inner link. The event engine calls this when absorbing a
+  /// to their inner link. The simulator calls this when absorbing a
   /// skipped quiescent span.
   virtual void advance_to(Time t) { (void)t; }
 

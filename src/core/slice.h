@@ -112,8 +112,8 @@ class ArrivalCursor {
   bool exhausted() const { return next_ >= stream_->run_count(); }
 
   /// Arrival step of the next unconsumed run, or kNever once exhausted.
-  /// Strictly later than the last step() argument, so the event engine can
-  /// use it directly as the next Arrival event.
+  /// Strictly later than the last step() argument, so the simulator can
+  /// use it directly as its next arrival event.
   Time next_arrival() const {
     return exhausted() ? kNever : stream_->runs()[next_].arrival;
   }

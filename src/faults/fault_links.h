@@ -103,8 +103,8 @@ class GilbertElliottLink final : public Link {
   /// ensure_state() catches up lazily with identical RNG draws, so skipped
   /// spans cannot change what it erases.
   Time next_activity(Time now) const override;
-  /// Replays the chain through the skipped span — the per-step deliver()
-  /// polls the slot loop would have issued — so transition draws and burst-
+  /// Replays the chain through the skipped span — the deliver() polls one
+  /// live step per slot would have issued — so transition draws and burst-
   /// length records land exactly as they would have, step by step.
   void advance_to(Time t) override {
     ensure_state(t);

@@ -36,23 +36,25 @@ Bytes client_dropped_so_far(const Client& client) {
          client.leftover_bytes_so_far();
 }
 
-/// Binds the run loop's lambdas to the ops interface run_event_driven()
-/// expects (core/event_engine.h). Holds references: the lambdas capture the
-/// loop state by reference and live for the whole run.
-template <typename More, typename Quiescent, typename Collect, typename Absorb,
-          typename Live>
-struct EngineOps {
-  More& more_fn;
-  Quiescent& quiescent_fn;
-  Collect& collect_fn;
-  Absorb& absorb_fn;
-  Live& live_fn;
-  bool more(Time t) { return more_fn(t); }
-  bool quiescent(Time t) { return quiescent_fn(t); }
-  void collect_events(Time t, EventQueue& queue) { collect_fn(t, queue); }
-  void absorb_span(Time t0, Time t1) { absorb_fn(t0, t1); }
-  void live_step(Time t) { live_fn(t); }
-};
+/// The tracer's JSONL step event for one step record: "type" first, then the
+/// record's fields in declaration order, minus link_idle (the trace format
+/// predates it).
+obs::Json step_event(const obs::StepRecord& step) {
+  obs::Json event = obs::Json::object();
+  event["type"] = "step";
+  event["t"] = step.t;
+  event["arrived"] = step.arrived;
+  event["sent"] = step.sent;
+  event["delivered"] = step.delivered;
+  event["played"] = step.played;
+  event["dropped_server"] = step.dropped_server;
+  event["dropped_client"] = step.dropped_client;
+  event["retransmitted"] = step.retransmitted;
+  event["server_occupancy"] = step.server_occupancy;
+  event["client_occupancy"] = step.client_occupancy;
+  event["stalled"] = step.stalled;
+  return event;
+}
 
 ServerConfig server_config(const SimConfig& config) {
   ServerConfig sc{.buffer = config.server_buffer,
@@ -200,13 +202,9 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   // loop performs no heap allocation at all — the zero-allocation guard
   // test pins this (DESIGN.md Sect. 12).
   std::vector<SentPiece> pieces;
-  Time t = 0;
 
-  const auto more = [&](Time now) {
-    return now <= last_playout || !server_.idle() || !link_->idle() ||
-           client_.occupancy() > 0;  // timer-mode playout can trail the offset
-  };
-
+  // One step of the full pipeline, observed through one StepRecord;
+  // absorb_span sends skipped slots down the same observation path.
   const auto live_step = [&](Time now) {
     RTS_ASSERT(now <= limit + client_.stall_steps());
     if (rec != nullptr) rec->begin_step(now);
@@ -222,19 +220,19 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
         observing ? client_dropped_so_far(client_) : 0;
     const Bytes retx_before = observing ? report.retransmitted_bytes : 0;
     const Time stalls_before = observing ? client_.stall_steps() : 0;
+    obs::StepRecord step{.t = now};
 
     const auto nacks = link_->collect_nacks(now);
     const ArrivalBatch batch = cursor.step(now);
-    Bytes arrived = 0;
     if (observing) {
-      for (const SliceRun& run : batch.runs) arrived += run.total_bytes();
+      for (const SliceRun& run : batch.runs) step.arrived += run.total_bytes();
     }
     pieces.clear();
     {
       const obs::Span step_span(config_.telemetry, "server.step");
       server_.step_into(now, batch, nacks, report, rec, pieces);
     }
-    const Bytes sent = observing ? piece_bytes(pieces) : 0;
+    if (observing) step.sent = piece_bytes(pieces);
     if (sojourn_hist != nullptr) {
       for (const SentPiece& piece : pieces) {
         sojourn_hist->record(now - piece.run->arrival, piece.bytes);
@@ -253,127 +251,86 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     auto delivered = link_->deliver(now);
     client_.deliver(now, delivered, report, rec);
     client_.play(now, report, rec);
-    if (recorder != nullptr) {
-      // Appended *before* monitor.check so a violation at step t captures a
-      // window whose last record is step t itself.
-      obs::StepRecord step;
-      step.t = now;
-      step.arrived = arrived;
-      step.sent = sent;
+    if (observing) {
       step.delivered = piece_bytes(delivered);
-      step.played =
-          static_cast<std::int64_t>(report.played.bytes - played_before);
-      step.dropped_server =
-          static_cast<std::int64_t>(report.dropped_server.bytes - drops_before);
-      step.dropped_client = static_cast<std::int64_t>(
-          client_dropped_so_far(client_) - client_dropped_before);
-      step.retransmitted =
-          static_cast<std::int64_t>(report.retransmitted_bytes - retx_before);
+      step.played = report.played.bytes - played_before;
+      step.dropped_server = report.dropped_server.bytes - drops_before;
+      step.dropped_client =
+          client_dropped_so_far(client_) - client_dropped_before;
+      step.retransmitted = report.retransmitted_bytes - retx_before;
       step.server_occupancy = server_.buffer().occupancy();
       step.client_occupancy = client_.occupancy();
       step.link_idle = link_->idle();
       step.stalled = client_.stall_steps() > stalls_before;
-      recorder->record(step);
     }
+    // Recorded *before* monitor.check, so a violation at step t captures a
+    // window whose last record is step t itself; traced after it, so the
+    // step's violation events precede its step event.
+    if (recorder != nullptr) recorder->record(step);
     monitor.check(now, server_, client_);
     if (rec != nullptr) rec->step().client_occupancy = client_.occupancy();
-    if (tracer != nullptr) {
-      // Violation events for this step (from monitor.check above) precede
-      // the step event itself.
-      obs::Json event = obs::Json::object();
-      event["type"] = "step";
-      event["t"] = now;
-      event["arrived"] = arrived;
-      event["sent"] = sent;
-      event["delivered"] = piece_bytes(delivered);
-      event["played"] = report.played.bytes - played_before;
-      event["dropped_server"] = report.dropped_server.bytes - drops_before;
-      event["dropped_client"] =
-          client_dropped_so_far(client_) - client_dropped_before;
-      event["retransmitted"] = report.retransmitted_bytes - retx_before;
-      event["server_occupancy"] = server_.buffer().occupancy();
-      event["client_occupancy"] = client_.occupancy();
-      event["stalled"] = client_.stall_steps() > stalls_before;
-      tracer->write(event);
-    }
+    if (tracer != nullptr) tracer->write(step_event(step));
     // Close the recycling loop: the delivered batch rode in on the vector
     // submitted P steps ago; take its storage back for the next send.
     if (pieces.capacity() < delivered.capacity()) pieces = std::move(delivered);
   };
 
-  if (config_.engine == EngineKind::SlotStepped) {
-    for (; more(t); ++t) live_step(t);
-  } else {
-    // Event-driven loop (core/event_engine.h): same live_step body, same
-    // exit condition, but quiescent spans between events are absorbed
-    // wholesale instead of stepped through.
-    const auto quiescent = [&](Time /*now*/) {
-      return server_.idle() && client_.occupancy() == 0;
-    };
-    const auto collect_events = [&](Time now, EventQueue& queue) {
-      const Time arrival = cursor.next_arrival();
-      if (arrival != kNever) queue.push({arrival, EventKind::Arrival});
-      // next_activity folds the fault decorators' state events (NACK
-      // feedback due, throttle windows) into the drain bound.
-      const Time drain = link_->next_activity(now);
-      if (drain != kNever) queue.push({drain, EventKind::Drain});
-      const Time deadline = client_.next_playout_event(now);
-      if (deadline != kNever) queue.push({deadline, EventKind::Deadline});
-      queue.push({last_playout + 1, EventKind::Horizon});
-    };
-    const auto absorb_span = [&](Time t0, Time t1) {
-      RTS_ASSERT(t0 <= limit + client_.stall_steps());
-      const std::int64_t skipped = t1 - t0;
-      // A drop burst cannot straddle a quiescent span: the span's first
-      // no-drop step ends it, exactly where the slot loop would flush.
-      if (burst_hist != nullptr && drop_burst > 0) {
-        burst_hist->record(drop_burst);
-        drop_burst = 0;
+  // Accounts for the quiescent slots [t0, t1) without stepping through them.
+  const auto absorb_span = [&](Time t0, Time t1) {
+    RTS_ASSERT(t0 <= limit + client_.stall_steps());
+    const std::int64_t skipped = t1 - t0;
+    // A drop burst cannot straddle a quiescent span: the span's first
+    // no-drop step ends it, exactly where a live step would flush it.
+    if (burst_hist != nullptr && drop_burst > 0) {
+      burst_hist->record(drop_burst);
+      drop_burst = 0;
+    }
+    // Autonomous link state (the Gilbert-Elliott chain) evolves with time,
+    // not traffic: replay the per-step deliver() polls the skipped slots
+    // would have issued, so RNG consumption and burst-length records stay
+    // draw-for-draw identical.
+    link_->advance_to(t1 - 1);
+    server_.record_idle_steps(skipped);
+    client_.record_idle_steps(skipped);
+    if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
+    // Observers see every slot: one zero record per skipped slot, so step
+    // traces, schedule recordings and incident windows match a run that
+    // steps through the span.
+    const bool link_idle = link_->idle();  // constant across the span
+    for (Time s = t0; s < t1; ++s) {
+      if (rec != nullptr) {
+        rec->begin_step(s);
+        rec->step().server_occupancy = 0;
+        rec->step().client_occupancy = 0;
       }
-      // Autonomous link state (the Gilbert-Elliott chain) evolves with
-      // time, not traffic: replay the per-step deliver() polls the slot
-      // loop would have issued, so RNG consumption and burst-length records
-      // stay draw-for-draw identical.
-      link_->advance_to(t1 - 1);
-      server_.record_idle_steps(skipped);
-      client_.record_idle_steps(skipped);
-      if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
-      // Observers see every slot: back-fill the all-zero steps so step
-      // traces, schedule recordings and incident windows stay
-      // byte-identical to the slot loop's.
-      const bool link_idle = link_->idle();  // constant across the span
-      for (Time s = t0; s < t1; ++s) {
-        if (rec != nullptr) {
-          rec->begin_step(s);
-          rec->step().server_occupancy = 0;
-          rec->step().client_occupancy = 0;
-        }
-        if (recorder != nullptr) {
-          obs::StepRecord step;
-          step.t = s;
-          step.link_idle = link_idle;
-          recorder->record(step);
-        }
-        if (tracer != nullptr) {
-          obs::Json event = obs::Json::object();
-          event["type"] = "step";
-          event["t"] = s;
-          event["arrived"] = 0;
-          event["sent"] = 0;
-          event["delivered"] = 0;
-          event["played"] = 0;
-          event["dropped_server"] = 0;
-          event["dropped_client"] = 0;
-          event["retransmitted"] = 0;
-          event["server_occupancy"] = 0;
-          event["client_occupancy"] = 0;
-          event["stalled"] = false;
-          tracer->write(event);
-        }
-      }
-    };
-    t = run_event_driven(
-        t, EngineOps{more, quiescent, collect_events, absorb_span, live_step});
+      const obs::StepRecord idle{.t = s, .link_idle = link_idle};
+      if (recorder != nullptr) recorder->record(idle);
+      if (tracer != nullptr) tracer->write(step_event(idle));
+    }
+  };
+
+  // The main loop (DESIGN.md Sect. 17). While the system is quiescent
+  // (server idle, client empty) no step can act before the earliest of four
+  // events: the next arrival, the link's next possible delivery or NACK,
+  // the next playout step, and one past the nominal playout range, where
+  // the exit test is due again. An event at or before t makes t a live
+  // step; a strictly later one absorbs [t, next) as one span. The run lasts
+  // until everything drains: timer-mode playout can trail the offset.
+  Time t = 0;
+  while (t <= last_playout || !server_.idle() || !link_->idle() ||
+         client_.occupancy() > 0) {
+    const Time next = server_.idle() && client_.occupancy() == 0
+                          ? std::min({cursor.next_arrival(),
+                                      link_->next_activity(t),
+                                      client_.next_playout_event(t),
+                                      last_playout + 1})
+                          : t;
+    if (next <= t) {
+      live_step(t++);
+    } else {
+      absorb_span(t, next);
+      t = next;
+    }
   }
   if (burst_hist != nullptr && drop_burst > 0) {
     burst_hist->record(drop_burst);  // a burst running into the drain tail
@@ -410,10 +367,9 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
 
 SimReport simulate(const Stream& stream, const Plan& plan,
                    std::string_view policy_name, Time link_delay,
-                   obs::Telemetry telemetry, EngineKind engine) {
+                   obs::Telemetry telemetry) {
   SimConfig config = SimConfig::balanced(plan, link_delay);
   config.telemetry = telemetry;
-  config.engine = engine;
   SmoothingSimulator simulator(stream, config, make_policy(policy_name));
   return simulator.run();
 }

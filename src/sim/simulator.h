@@ -9,7 +9,10 @@
 // by any rebuffering under UnderflowPolicy::Stall). The run continues past
 // the last arrival until the server (buffer and retransmission queue), link
 // (including pending loss feedback) and playout pipeline fully drain, so
-// reports always satisfy conservation — even on faulty links.
+// reports always satisfy conservation — even on faulty links. Quiescent
+// spans (server idle, client empty, no event due) are absorbed without
+// stepping through them; observers still see every step (DESIGN.md
+// Sect. 17).
 //
 // An InvariantMonitor (src/faults/) watches the Lemma 3.2-3.4 guarantees
 // every step and records violations into the report instead of aborting:
@@ -22,7 +25,6 @@
 #include <string>
 
 #include "core/client.h"
-#include "core/event_engine.h"
 #include "core/generic_algorithm.h"
 #include "core/link.h"
 #include "core/metrics.h"
@@ -52,13 +54,6 @@ struct SimConfig {
   /// NACK/retransmit behaviour for lossy links; `smoothing_delay` inside is
   /// filled in by the simulator, callers only set the other fields.
   RecoveryConfig recovery{};
-
-  /// Main-loop selection (core/event_engine.h). Both engines produce
-  /// byte-identical reports, registry snapshots, traces and incidents — the
-  /// three-way differential harness pins this — so the choice is purely a
-  /// performance knob: EventDriven skips quiescent spans and wins big on
-  /// sparse or long-horizon streams.
-  EngineKind engine = EngineKind::SlotStepped;
 
   /// Telemetry handle, null by default (instrumentation costs nothing; see
   /// obs/telemetry.h). With a registry the run fills counters and the
@@ -113,12 +108,10 @@ class SmoothingSimulator {
 
 /// One-call convenience: simulate `stream` under the balanced plan with the
 /// named policy (see policy_factory.h). Pass a telemetry handle to collect
-/// counters/histograms or a JSONL trace for the run; `engine` selects the
-/// main loop (byte-identical either way).
+/// counters/histograms or a JSONL trace for the run.
 SimReport simulate(const Stream& stream, const Plan& plan,
                    std::string_view policy_name, Time link_delay = 1,
-                   obs::Telemetry telemetry = {},
-                   EngineKind engine = EngineKind::SlotStepped);
+                   obs::Telemetry telemetry = {});
 
 /// One-call convenience for callers with a hand-built configuration or a
 /// custom (e.g. faulty) link: simulate `stream` under `config` with the

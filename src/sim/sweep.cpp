@@ -42,7 +42,6 @@ SimReport fault_run(const Stream& stream, const SweepSpec& spec,
   config.underflow = underflow;
   config.max_stall = spec.max_stall;
   config.recovery = spec.recovery;
-  config.engine = spec.engine;
   config.telemetry = telemetry;
   SmoothingSimulator simulator(stream, config, make_policy(policy),
                                spec.link_factory(severity, spec.link_delay));
@@ -190,7 +189,7 @@ SweepResult sweep(const Stream& stream, const SweepSpec& spec) {
         const obs::Span cell_span(tel, "sweep.cell");
         point->policies[j].report =
             simulate(stream, point->plan, point->policies[j].policy,
-                     spec.link_delay, tel, spec.engine);
+                     spec.link_delay, tel);
       });
     }
     if (spec.with_optimal) {

@@ -98,12 +98,6 @@ struct SweepSpec {
   /// Constant link propagation delay P for every run, all axes.
   Time link_delay = 1;
 
-  /// Simulation main loop for every cell (core/event_engine.h). Grid
-  /// results, merged registries and incident lists are byte-identical for
-  /// either engine; EventDriven is faster on sparse or long-horizon
-  /// streams.
-  EngineKind engine = EngineKind::SlotStepped;
-
   /// Pool width: 0 defers to RTSMOOTH_THREADS / hardware_concurrency, 1 is
   /// the in-place serial path. Output is identical either way.
   unsigned threads = 0;

@@ -1,6 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -58,8 +59,13 @@ FrameSequence read_trace(std::istream& in) {
       fail(line_no, line);
     }
     if (!is_integer(size_tok)) fail(line_no, line);
-    f.size = std::stoll(size_tok);
-    if (f.size <= 0) fail(line_no, line);
+    // from_chars, not stoll: a size too large for the type is a malformed
+    // line like any other, not a std::out_of_range.
+    const char* end = size_tok.data() + size_tok.size();
+    if (std::from_chars(size_tok.data(), end, f.size).ec != std::errc{} ||
+        f.size <= 0) {
+      fail(line_no, line);
+    }
     frames.push_back(f);
   }
   return frames;

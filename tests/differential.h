@@ -1,22 +1,23 @@
 // Three-way differential harness: the deque-based reference oracle
-// (reference_core.h) vs the slot-stepped production core vs the
-// event-driven production core (core/event_engine.h) on one instance.
+// (reference_core.h) vs the production simulator run two ways on one
+// instance — skipping quiescent spans, as it always does, and stepping,
+// behind a SteppingLink that forces a live step at every slot.
 //
 // Per run the harness captures four artifacts:
 //   - the SimReport (operator==: every tally, breakdown, maximum and
 //     invariant-violation count),
-//   - the JSONL trace (config / violation / step / run events — the
-//     event core back-fills one zero-delta step event per skipped slot,
-//     so the traces are comparable line-for-line),
+//   - the JSONL trace (config / violation / step / run events — a skipping
+//     run back-fills one zero-delta step event per skipped slot, so the
+//     traces are comparable line-for-line),
 //   - the Registry snapshot, to_json(/*include_timers=*/false) — the
 //     byte-identity determinism unit (span timers measure wall clock and
 //     are quarantined, DESIGN.md Sect. 8),
 //   - the FlightRecorder incident list plus its step/trigger counters.
 //
 // The reference oracle carries no registry or recorder, so the oracle
-// legs compare report + trace, while the slot-vs-event leg compares all
-// four artifacts. Failures name the disagreeing engine pair and print
-// the caller's reproducer (normally testgen::describe_instance).
+// legs compare report + trace, while the stepping-vs-skipping leg compares
+// all four artifacts. Failures name the disagreeing pair and print the
+// caller's reproducer (normally testgen::describe_instance).
 
 #pragma once
 
@@ -29,7 +30,9 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
+#include "core/link.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
@@ -38,6 +41,45 @@
 #include "sim/simulator.h"
 
 namespace rtsmooth::difftest {
+
+/// Test-only Link decorator: forwards every call to `inner` and counts
+/// deliver() polls. A stepping decorator answers next_activity(now) with
+/// `now` — an early answer the Link contract allows — so the simulator
+/// takes a live step at every t and never absorbs a span: exactly the call
+/// sequence of a slot-by-slot loop, the leg skipping runs are compared
+/// against. With `stepping` false it only counts.
+class SteppingLink final : public Link {
+ public:
+  explicit SteppingLink(std::unique_ptr<Link> inner, bool stepping = true)
+      : inner_(std::move(inner)), stepping_(stepping) {}
+
+  void submit(Time t, std::vector<SentPiece> pieces) override {
+    inner_->submit(t, std::move(pieces));
+  }
+  std::vector<SentPiece> deliver(Time t) override {
+    ++polls_;
+    return inner_->deliver(t);
+  }
+  std::vector<Nack> collect_nacks(Time t) override {
+    return inner_->collect_nacks(t);
+  }
+  bool idle() const override { return inner_->idle(); }
+  Time min_delay() const override { return inner_->min_delay(); }
+  Time next_activity(Time now) const override {
+    return stepping_ ? now : inner_->next_activity(now);
+  }
+  void advance_to(Time t) override { inner_->advance_to(t); }
+  void set_telemetry(obs::Telemetry telemetry) override {
+    inner_->set_telemetry(telemetry);
+  }
+
+  std::int64_t polls() const { return polls_; }
+
+ private:
+  std::unique_ptr<Link> inner_;
+  bool stepping_;
+  std::int64_t polls_ = 0;
+};
 
 /// Builds a fresh link for one engine run. Links are stateful and consumed
 /// by the simulator, so every engine leg needs its own copy — factories
@@ -64,24 +106,31 @@ inline obs::FlightRecorderConfig differential_recorder_config() {
   return config;
 }
 
-/// One production run (slot-stepped or event-driven) with the full
-/// observability plane attached.
+/// The link `link` builds — the config's FixedDelayLink when it is empty —
+/// behind a stepping SteppingLink.
+inline std::unique_ptr<Link> stepping_link(const sim::SimConfig& config,
+                                           const LinkFactory& link = {}) {
+  return std::make_unique<SteppingLink>(
+      link ? link() : std::make_unique<FixedDelayLink>(config.link_delay));
+}
+
+/// One production run — stepping every slot or skipping quiescent spans —
+/// with the full observability plane attached.
 inline EngineArtifacts run_engine(const Stream& stream,
                                   const sim::SimConfig& config,
-                                  std::string_view policy,
-                                  sim::EngineKind engine,
+                                  std::string_view policy, bool stepping,
                                   const LinkFactory& link = {}) {
   std::ostringstream trace;
   obs::TraceWriter writer(trace);
   obs::Registry registry;
   obs::FlightRecorder recorder(differential_recorder_config());
   sim::SimConfig cfg = config;
-  cfg.engine = engine;
   cfg.telemetry.tracer = &writer;
   cfg.telemetry.registry = &registry;
   cfg.telemetry.recorder = &recorder;
-  sim::SmoothingSimulator simulator(stream, cfg, make_policy(policy),
-                                    link ? link() : nullptr);
+  sim::SmoothingSimulator simulator(
+      stream, cfg, make_policy(policy),
+      stepping ? stepping_link(config, link) : (link ? link() : nullptr));
   EngineArtifacts out;
   out.report = simulator.run();
   out.trace = std::move(trace).str();
@@ -145,29 +194,29 @@ inline void expect_same_lines(std::string_view artifact,
                 << ") with no differing line\n" << reproducer;
 }
 
-/// Slot vs event: full-artifact byte-identity (report, trace, registry
-/// snapshot, incident list and recorder counters).
-inline void expect_engines_identical(const EngineArtifacts& slot,
-                                     const EngineArtifacts& event,
-                                     const std::string& reproducer) {
-  EXPECT_TRUE(slot.report == event.report)
-      << "SimReport mismatch (slot vs event)\n" << reproducer;
-  expect_same_lines("trace", "slot", slot.trace, "event", event.trace,
-                    reproducer);
-  expect_same_lines("registry", "slot", slot.registry, "event",
-                    event.registry, reproducer);
-  expect_same_lines("incidents", "slot", slot.incidents, "event",
-                    event.incidents, reproducer);
-  EXPECT_EQ(slot.steps_recorded, event.steps_recorded)
-      << "flight-recorder step count mismatch (slot vs event)\n"
+/// Stepping vs skipping: full-artifact byte-identity (report, trace,
+/// registry snapshot, incident list and recorder counters).
+inline void expect_legs_identical(const EngineArtifacts& stepping,
+                                  const EngineArtifacts& skipping,
+                                  const std::string& reproducer) {
+  EXPECT_TRUE(stepping.report == skipping.report)
+      << "SimReport mismatch (stepping vs skipping)\n" << reproducer;
+  expect_same_lines("trace", "stepping", stepping.trace, "skipping",
+                    skipping.trace, reproducer);
+  expect_same_lines("registry", "stepping", stepping.registry, "skipping",
+                    skipping.registry, reproducer);
+  expect_same_lines("incidents", "stepping", stepping.incidents, "skipping",
+                    skipping.incidents, reproducer);
+  EXPECT_EQ(stepping.steps_recorded, skipping.steps_recorded)
+      << "flight-recorder step count mismatch (stepping vs skipping)\n"
       << reproducer;
-  EXPECT_EQ(slot.triggers_total, event.triggers_total)
-      << "flight-recorder trigger count mismatch (slot vs event)\n"
+  EXPECT_EQ(stepping.triggers_total, skipping.triggers_total)
+      << "flight-recorder trigger count mismatch (stepping vs skipping)\n"
       << reproducer;
 }
 
 /// The full three-way check. `link` builds the production link (used for
-/// both the slot and event legs); `oracle_link` builds the
+/// both the stepping and skipping legs); `oracle_link` builds the
 /// reference-flavoured link for the deque oracle. Both default to each
 /// simulator's own FixedDelayLink.
 inline void expect_three_way(const Stream& stream,
@@ -176,24 +225,24 @@ inline void expect_three_way(const Stream& stream,
                              const std::string& reproducer,
                              const LinkFactory& link = {},
                              const LinkFactory& oracle_link = {}) {
-  const EngineArtifacts slot =
-      run_engine(stream, config, policy, sim::EngineKind::SlotStepped, link);
-  const EngineArtifacts event =
-      run_engine(stream, config, policy, sim::EngineKind::EventDriven, link);
+  const EngineArtifacts stepping =
+      run_engine(stream, config, policy, /*stepping=*/true, link);
+  const EngineArtifacts skipping =
+      run_engine(stream, config, policy, /*stepping=*/false, link);
   const EngineArtifacts oracle =
       run_oracle(stream, config, policy, oracle_link);
-  EXPECT_TRUE(oracle.report == slot.report)
-      << "SimReport mismatch (reference vs slot)\n" << reproducer;
-  expect_same_lines("trace", "reference", oracle.trace, "slot", slot.trace,
-                    reproducer);
-  // Diff the oracle against the event core directly too: when the two
-  // production engines agree with each other but not the oracle, the
-  // failure should still name both pairs.
-  EXPECT_TRUE(oracle.report == event.report)
-      << "SimReport mismatch (reference vs event)\n" << reproducer;
-  expect_same_lines("trace", "reference", oracle.trace, "event", event.trace,
-                    reproducer);
-  expect_engines_identical(slot, event, reproducer);
+  EXPECT_TRUE(oracle.report == stepping.report)
+      << "SimReport mismatch (reference vs stepping)\n" << reproducer;
+  expect_same_lines("trace", "reference", oracle.trace, "stepping",
+                    stepping.trace, reproducer);
+  // Diff the oracle against the skipping run directly too: when the two
+  // production legs agree with each other but not the oracle, the failure
+  // should still name both pairs.
+  EXPECT_TRUE(oracle.report == skipping.report)
+      << "SimReport mismatch (reference vs skipping)\n" << reproducer;
+  expect_same_lines("trace", "reference", oracle.trace, "skipping",
+                    skipping.trace, reproducer);
+  expect_legs_identical(stepping, skipping, reproducer);
 }
 
 }  // namespace rtsmooth::difftest

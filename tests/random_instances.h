@@ -83,7 +83,7 @@ inline sim::SimConfig random_config(Rng& rng, const Stream& stream) {
 
 // ---------------------------------------------------------------------------
 // Corner-case instances. The uniform generator above rarely hits the exact
-// boundaries the event-driven core's skip logic pivots on, so the fuzz
+// boundaries the simulator's skip logic pivots on, so the fuzz
 // suites mix in targeted shapes: each Corner is a (stream, config) family
 // that pins one boundary. Like the uniform generator, everything is a pure
 // function of the seed.
@@ -91,15 +91,15 @@ inline sim::SimConfig random_config(Rng& rng, const Stream& stream) {
 
 enum class Corner {
   /// Sparse bursts where some bursts contain zero frames: the burst loop
-  /// still advances the clock, so two quiescent spans abut and the event
-  /// engine must absorb them as one without consuming extra RNG draws.
+  /// still advances the clock, so two quiescent spans abut and the
+  /// simulator must absorb them as one without consuming extra RNG draws.
   ZeroLengthBursts,
   /// Playout offset P + D == 1, so the last deadline lands exactly on
-  /// stream.horizon() — the Deadline and Horizon events collide at the
-  /// queue boundary and the tie-break order decides the final span.
+  /// stream.horizon() — the next playout step and the end of the playout
+  /// range coincide, and the final span must stop there.
   DeadlineEqualsHorizon,
   /// One run, one slice: the smallest schedule with a non-empty drain, so
-  /// every engine phase (arrival, drain, deadline, exit) is one event.
+  /// every next-event source (arrival, link, playout, exit) fires once.
   SingleSliceStream,
   /// R set to the stream's peak one-step arrival volume: the server can
   /// always clear a step's arrivals in that same step, so the buffer

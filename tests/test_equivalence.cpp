@@ -1,12 +1,13 @@
 // Differential equivalence suite, three ways: the deque-based reference
-// oracle in reference_core.h vs the optimized slot-stepped core (ring
+// oracle in reference_core.h vs the optimized production simulator (ring
 // buffers, recycled piece vectors, monotone playout cursor — DESIGN.md
-// Sect. 12) vs the event-driven core (core/event_engine.h).
+// Sect. 12), run once stepping every slot and once skipping quiescent
+// spans (DESIGN.md Sect. 17).
 //
 // Every comparison goes through tests/differential.h, which checks the
-// SimReport, the JSONL trace, and — between the two production engines —
-// the Registry snapshot and FlightRecorder incident list byte-for-byte.
-// Failures name the disagreeing engine pair and print a self-contained
+// SimReport, the JSONL trace, and — between the two production legs — the
+// Registry snapshot and FlightRecorder incident list byte-for-byte.
+// Failures name the disagreeing pair and print a self-contained
 // reproducer (seed, expanded SliceRuns, SimConfig) via
 // testgen::describe_instance.
 
@@ -145,8 +146,8 @@ TEST(Equivalence, StockClipBalancedPlanAllPolicies) {
 
 // The Gilbert-Elliott chain exercises bursty loss: long NACK trains land in
 // the retransmission queue in one step, which is where a ring-capacity bug
-// would hide — and its lazily-replayed state machine is the event core's
-// hardest RNG-consumption case (DESIGN.md Sect. 17).
+// would hide — and its lazily-replayed state machine is the hardest
+// RNG-consumption case for skipped spans (DESIGN.md Sect. 17).
 TEST(Equivalence, StockClipGilbertElliottBurstLoss) {
   const Stream stream = trace::slice_frames(
       trace::stock_clip("cnn-news", 80), trace::ValueModel::mpeg_default(),

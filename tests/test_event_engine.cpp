@@ -1,18 +1,19 @@
-// The event-driven core (core/event_engine.h), pinned three ways:
+// The simulator's quiescent-span skipping (DESIGN.md Sect. 17), pinned
+// against runs that step every slot (tests/differential.h's SteppingLink):
 //
-//   - EventQueue unit tests: (at, kind) ordering and the documented
-//     tie-break so span bounds are deterministic.
 //   - Link::next_activity() / advance_to() contracts per link flavour —
 //     including the Gilbert-Elliott lazy-replay property (batch catch-up
 //     consumes the identical RNG draws as per-step polling).
-//   - Slot-vs-event byte identity: full EngineArtifacts (SimReport, JSONL
-//     trace, registry snapshot, flight-recorder incidents) under
+//   - The stepping leg polls the link at every slot while a skipping run
+//     polls it less, and a 10^12-slot gap is absorbed, not walked.
+//   - Stepping-vs-skipping byte identity: full EngineArtifacts (SimReport,
+//     JSONL trace, registry snapshot, flight-recorder incidents) under
 //     ErasureLink, GilbertElliottLink, ThrottledLink and BoundedJitterLink
 //     across seeds, sparse and dense streams, recovery on and off; plus
-//     ScheduleRecorder step/run equality with the event core's back-fill.
-//   - sweep() grids on the event core: results and merged registry
-//     snapshots byte-identical to the slot core at RTSMOOTH_THREADS
-//     widths 1, 4 and 8 (mirroring the existing thread-invariance ctests).
+//     ScheduleRecorder step/run equality with the span back-fill.
+//   - sweep() grids: results and merged registry snapshots byte-identical
+//     to stepping runs of the same cells at RTSMOOTH_THREADS widths 1, 4
+//     and 8 (mirroring the existing thread-invariance ctests).
 
 #include <gtest/gtest.h>
 
@@ -21,11 +22,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/event_engine.h"
 #include "core/link.h"
 #include "core/schedule.h"
 #include "differential.h"
 #include "faults/fault_links.h"
+#include "obs/telemetry.h"
 #include "policies/policy_factory.h"
 #include "random_instances.h"
 #include "sim/simulator.h"
@@ -36,55 +37,6 @@
 
 namespace rtsmooth {
 namespace {
-
-using sim::EngineKind;
-using sim::Event;
-using sim::EventKind;
-using sim::EventQueue;
-
-// ------------------------------------------------------------- EventQueue
-
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue queue;
-  queue.push({7, EventKind::Arrival});
-  queue.push({3, EventKind::Deadline});
-  queue.push({11, EventKind::Drain});
-  queue.push({5, EventKind::Horizon});
-  std::vector<Time> order;
-  while (!queue.empty()) {
-    order.push_back(queue.top().at);
-    queue.pop();
-  }
-  EXPECT_EQ(order, (std::vector<Time>{3, 5, 7, 11}));
-}
-
-TEST(EventQueue, TieBreaksByKindInDeclarationOrder) {
-  EventQueue queue;
-  queue.push({4, EventKind::Horizon});
-  queue.push({4, EventKind::Deadline});
-  queue.push({4, EventKind::Arrival});
-  queue.push({4, EventKind::FaultState});
-  queue.push({4, EventKind::Drain});
-  std::vector<EventKind> order;
-  while (!queue.empty()) {
-    order.push_back(queue.top().kind);
-    queue.pop();
-  }
-  EXPECT_EQ(order,
-            (std::vector<EventKind>{EventKind::Arrival, EventKind::Drain,
-                                    EventKind::Deadline,
-                                    EventKind::FaultState,
-                                    EventKind::Horizon}));
-}
-
-TEST(EventQueue, ClearEmptiesTheQueue) {
-  EventQueue queue;
-  queue.push({1, EventKind::Arrival});
-  queue.push({2, EventKind::Drain});
-  EXPECT_EQ(queue.size(), 2u);
-  queue.clear();
-  EXPECT_TRUE(queue.empty());
-}
 
 // ---------------------------------------------- Link::next_activity hooks
 
@@ -166,18 +118,79 @@ TEST(NextActivity, GilbertElliottAdvanceToMatchesPerStepPolling) {
   }
 }
 
-// ------------------------------------- slot vs event: full byte identity
+// -------------------------------------- the stepping leg and idle spans
 
-void expect_slot_event_identical(const Stream& stream,
-                                 const sim::SimConfig& config,
-                                 std::string_view policy,
-                                 const std::string& reproducer,
-                                 const difftest::LinkFactory& link = {}) {
-  const difftest::EngineArtifacts slot = difftest::run_engine(
-      stream, config, policy, EngineKind::SlotStepped, link);
-  const difftest::EngineArtifacts event = difftest::run_engine(
-      stream, config, policy, EngineKind::EventDriven, link);
-  difftest::expect_engines_identical(slot, event, reproducer);
+/// The stepping leg must really step: if its decorator let spans through,
+/// every stepping-vs-skipping comparison below would compare skip with skip.
+TEST(SteppingLeg, PollsTheLinkAtEverySlot) {
+  Rng rng(0x57e95000);
+  const Stream stream =
+      testgen::corner_stream(rng, testgen::Corner::ZeroLengthBursts);
+  sim::SimConfig config =
+      testgen::corner_config(rng, stream, testgen::Corner::ZeroLengthBursts);
+  config.recovery.enabled = true;
+  config.recovery.max_retries = 2;
+  const faults::GilbertElliottConfig ge{.p_good_to_bad = 0.08,
+                                        .p_bad_to_good = 0.3,
+                                        .loss_good = 0.0,
+                                        .loss_bad = 0.95};
+  auto run = [&](bool stepping) {
+    auto link = std::make_unique<difftest::SteppingLink>(
+        std::make_unique<faults::GilbertElliottLink>(
+            std::make_unique<FixedDelayLink>(config.link_delay), ge, Rng(11)),
+        stepping);
+    const difftest::SteppingLink& probe = *link;
+    sim::SmoothingSimulator simulator(stream, config, make_policy("greedy"),
+                                      std::move(link));
+    const SimReport report = simulator.run();
+    return std::pair{report, probe.polls()};
+  };
+  const auto [stepped, stepped_polls] = run(true);
+  const auto [skipped, skipped_polls] = run(false);
+  EXPECT_TRUE(stepped == skipped);
+  EXPECT_EQ(stepped_polls, stepped.steps);
+  EXPECT_LT(skipped_polls, skipped.steps);
+}
+
+/// Two runs a trillion slots apart: the gap must be absorbed as one span.
+/// Walking it slot by slot would take hours; the ctest TIMEOUT on this
+/// binary turns that into a failure instead of a hang.
+TEST(QuiescentSpans, TrillionSlotGapIsAbsorbedNotWalked) {
+  constexpr Time kLastArrival = 1'000'000'000'000;
+  const Stream stream = Stream::from_runs(
+      {SliceRun{.arrival = 0, .count = 6},
+       SliceRun{.arrival = kLastArrival, .count = 6}});
+  const sim::SimConfig base =
+      sim::SimConfig::balanced(Planner::from_delay_rate(3, 2));
+  for (const char* policy : {"tail-drop", "greedy"}) {
+    for (const bool with_registry : {false, true}) {
+      obs::Registry registry;
+      sim::SimConfig config = base;
+      if (with_registry) config.telemetry.registry = &registry;
+      const SimReport report = sim::simulate(stream, config, policy);
+      EXPECT_TRUE(report.conserves()) << policy;
+      EXPECT_EQ(report.played.bytes, 12) << policy;
+      EXPECT_EQ(report.steps, kLastArrival + config.link_delay +
+                                  config.smoothing_delay + 1)
+          << policy;
+      if (with_registry) {
+        EXPECT_EQ(registry.counter("sim.steps").value(), report.steps);
+      }
+    }
+  }
+}
+
+// ----------------------------------- stepping vs skipping: byte identity
+
+void expect_stepping_skipping_identical(
+    const Stream& stream, const sim::SimConfig& config,
+    std::string_view policy, const std::string& reproducer,
+    const difftest::LinkFactory& link = {}) {
+  const difftest::EngineArtifacts stepping = difftest::run_engine(
+      stream, config, policy, /*stepping=*/true, link);
+  const difftest::EngineArtifacts skipping = difftest::run_engine(
+      stream, config, policy, /*stepping=*/false, link);
+  difftest::expect_legs_identical(stepping, skipping, reproducer);
 }
 
 struct LinkCase {
@@ -215,8 +228,8 @@ std::vector<LinkCase> fault_link_cases() {
   };
 }
 
-/// The satellite matrix: every fault flavour × seeds × recovery on/off ×
-/// dense and sparse streams, each cell checked for full-artifact identity.
+/// Every fault flavour × seeds × recovery on/off × dense and sparse
+/// streams, each cell checked for full-artifact identity.
 TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
   const std::vector<LinkCase> cases = fault_link_cases();
   const std::vector<std::string> policies = {"tail-drop", "greedy"};
@@ -246,7 +259,7 @@ TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
               " recovery=" + (recovery ? "on" : "off") +
               " policy=" + policy + "\n" +
               testgen::describe_instance(seed, stream, config);
-          expect_slot_event_identical(
+          expect_stepping_skipping_identical(
               stream, config, policy, reproducer,
               [&link_case, &config, seed] {
                 return link_case.make(config.link_delay, seed);
@@ -258,74 +271,77 @@ TEST(EventEngineIdentity, FaultMatrixAcrossSeedsAndRecovery) {
   }
 }
 
-/// The event core back-fills one StepSets record per skipped slot, so a
+/// A skipping run back-fills one StepSets record per skipped slot, so a
 /// RunsAndSteps ScheduleRecorder must come out element-identical too.
 TEST(EventEngineIdentity, ScheduleRecorderStepsAndRunsMatch) {
   Rng rng(0x5ced5ced);
   const Stream stream =
       testgen::corner_stream(rng, testgen::Corner::ZeroLengthBursts);
-  const sim::SimConfig base =
+  const sim::SimConfig config =
       testgen::corner_config(rng, stream, testgen::Corner::ZeroLengthBursts);
-  auto record = [&](EngineKind engine) {
-    sim::SimConfig config = base;
-    config.engine = engine;
-    sim::SmoothingSimulator simulator(stream, config,
-                                      make_policy("tail-drop"));
+  auto record = [&](bool stepping) {
+    sim::SmoothingSimulator simulator(
+        stream, config, make_policy("tail-drop"),
+        stepping ? difftest::stepping_link(config) : nullptr);
     auto rec = std::make_unique<ScheduleRecorder>(
         stream.run_count(), ScheduleRecorder::Level::RunsAndSteps);
     (void)simulator.run(rec.get());
     return rec;
   };
-  const auto slot = record(EngineKind::SlotStepped);
-  const auto event = record(EngineKind::EventDriven);
-  ASSERT_EQ(slot->steps().size(), event->steps().size());
-  for (std::size_t i = 0; i < slot->steps().size(); ++i) {
-    ASSERT_TRUE(slot->steps()[i] == event->steps()[i])
+  const auto stepping = record(true);
+  const auto skipping = record(false);
+  ASSERT_EQ(stepping->steps().size(), skipping->steps().size());
+  for (std::size_t i = 0; i < stepping->steps().size(); ++i) {
+    ASSERT_TRUE(stepping->steps()[i] == skipping->steps()[i])
         << "StepSets divergence at index " << i
-        << " (t=" << slot->steps()[i].t << ")";
+        << " (t=" << stepping->steps()[i].t << ")";
   }
-  ASSERT_EQ(slot->run_count(), event->run_count());
-  for (std::size_t i = 0; i < slot->run_count(); ++i) {
-    ASSERT_TRUE(slot->run(i) == event->run(i))
+  ASSERT_EQ(stepping->run_count(), skipping->run_count());
+  for (std::size_t i = 0; i < stepping->run_count(); ++i) {
+    ASSERT_TRUE(stepping->run(i) == skipping->run(i))
         << "RunOutcome divergence at run " << i;
   }
 }
 
-// -------------------------------------- sweep() grids on the event core
+// ------------------------------------------------------------ sweep() grids
 
-/// Registry-carrying sweep at a given engine and width; returns the result
-/// and the determinism unit of the merged snapshot.
-std::pair<sim::SweepResult, std::string> run_grid(const Stream& stream,
-                                                  EngineKind engine,
-                                                  unsigned threads) {
-  obs::Registry registry;
-  sim::SweepSpec spec;
-  spec.axis = sim::SweepAxis::BufferMultiple;
-  spec.values = {2.0, 3.0, 4.0};
-  spec.policies = {"tail-drop", "greedy"};
-  spec.engine = engine;
-  spec.threads = threads;
-  spec.registry = &registry;
-  sim::SweepResult result = sim::sweep(stream, spec);
-  return {std::move(result),
-          registry.to_json(/*include_timers=*/false).dump()};
-}
-
-/// Satellite invariance check: the event-core grid must equal the slot-core
-/// grid — including the merged registry snapshot — at every thread width.
+/// Invariance check: a registry-carrying sweep grid at every thread width
+/// must equal its cells run by hand on the stepping leg, serially, with the
+/// cell registries folded in submission order as sweep() folds them.
 TEST(EventEngineSweep, GridMatchesSlotCoreAtEveryThreadWidth) {
   const Stream stream = trace::slice_frames(
       trace::stock_clip("cnn-news", 60), trace::ValueModel::mpeg_default(),
       trace::Slicing::ByteSlices);
-  const auto [slot_result, slot_registry] =
-      run_grid(stream, EngineKind::SlotStepped, 1);
+  sim::SweepSpec spec;
+  spec.axis = sim::SweepAxis::BufferMultiple;
+  spec.values = {2.0, 3.0, 4.0};
+  spec.policies = {"tail-drop", "greedy"};
   for (const unsigned threads : {1u, 4u, 8u}) {
-    const auto [event_result, event_registry] =
-        run_grid(stream, EngineKind::EventDriven, threads);
-    EXPECT_TRUE(event_result.points == slot_result.points)
-        << "sweep points diverge (slot@1 vs event@" << threads << ")";
-    EXPECT_EQ(event_registry, slot_registry)
-        << "merged registry diverges (slot@1 vs event@" << threads << ")";
+    obs::Registry skipping;
+    spec.threads = threads;
+    spec.registry = &skipping;
+    const sim::SweepResult result = sim::sweep(stream, spec);
+    ASSERT_EQ(result.points.size(), spec.values.size());
+    obs::Registry stepping;
+    for (const sim::SweepPoint& point : result.points) {
+      for (const sim::PolicyOutcome& outcome : point.policies) {
+        obs::Registry cell;
+        sim::SimConfig config =
+            sim::SimConfig::balanced(point.plan, spec.link_delay);
+        config.telemetry.registry = &cell;
+        sim::SmoothingSimulator simulator(stream, config,
+                                          make_policy(outcome.policy),
+                                          difftest::stepping_link(config));
+        EXPECT_TRUE(simulator.run() == outcome.report)
+            << "sweep cell diverges (stepping vs skipping@" << threads
+            << ", x=" << point.x << ", " << outcome.policy << ")";
+        stepping.merge(cell);
+      }
+    }
+    EXPECT_EQ(skipping.to_json(/*include_timers=*/false).dump(),
+              stepping.to_json(/*include_timers=*/false).dump())
+        << "merged registry diverges (stepping vs skipping@" << threads
+        << ")";
   }
 }
 
@@ -333,26 +349,28 @@ TEST(EventEngineSweep, FaultAxisMatchesSlotCore) {
   const Stream stream = trace::slice_frames(
       trace::stock_clip("cnn-news", 40), trace::ValueModel::mpeg_default(),
       trace::Slicing::ByteSlices);
-  auto run_axis = [&stream](EngineKind engine, unsigned threads) {
+  auto run_axis = [&stream](bool stepping, unsigned threads) {
     sim::SweepSpec spec;
     spec.axis = sim::SweepAxis::FaultSeverity;
     spec.values = {0.0, 0.1, 0.3};
     spec.policies = {"tail-drop"};
     spec.recovery.enabled = true;
     spec.recovery.max_retries = 2;
-    spec.engine = engine;
     spec.threads = threads;
-    spec.link_factory = [](double severity, Time delay) {
-      return std::make_unique<faults::ErasureLink>(
+    spec.link_factory = [stepping](double severity,
+                                   Time delay) -> std::unique_ptr<Link> {
+      auto link = std::make_unique<faults::ErasureLink>(
           std::make_unique<FixedDelayLink>(delay), severity, Rng(7));
+      if (!stepping) return link;
+      return std::make_unique<difftest::SteppingLink>(std::move(link));
     };
     return sim::sweep(stream, spec);
   };
-  const sim::SweepResult slot = run_axis(EngineKind::SlotStepped, 1);
+  const sim::SweepResult stepping = run_axis(true, 1);
   for (const unsigned threads : {1u, 4u}) {
-    const sim::SweepResult event = run_axis(EngineKind::EventDriven, threads);
-    EXPECT_TRUE(event.faults == slot.faults)
-        << "fault axis diverges (slot@1 vs event@" << threads << ")";
+    const sim::SweepResult skipping = run_axis(false, threads);
+    EXPECT_TRUE(skipping.faults == stepping.faults)
+        << "fault axis diverges (stepping@1 vs skipping@" << threads << ")";
   }
 }
 

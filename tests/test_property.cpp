@@ -300,11 +300,11 @@ TEST(PropertyFuzz, SimulatorInvariantsOnRandomInstances) {
   }
 }
 
-/// Three-way engine agreement: the deque reference oracle, the slot-stepped
-/// core and the event-driven core must produce byte-identical SimReports
-/// and JSONL traces (and, between the two production engines, identical
-/// registry snapshots and flight-recorder incident lists) on fully random
-/// instances. One policy per round, rotating, keeps the nightly sanitizer
+/// Three-way agreement: the deque reference oracle and the production
+/// simulator, stepping every slot and skipping quiescent spans, must
+/// produce byte-identical SimReports and JSONL traces (and, between the two
+/// production legs, identical registry snapshots and flight-recorder
+/// incident lists) on fully random instances. One policy per round, rotating, keeps the nightly sanitizer
 /// budget linear in RTSMOOTH_PROP_ITERS.
 TEST(PropertyFuzz, ThreeWayEngineAgreementOnRandomInstances) {
   const int rounds = prop_iters();
@@ -330,7 +330,7 @@ TEST(PropertyFuzz, ThreeWayEngineAgreementOnRandomInstances) {
 /// Same agreement property on the targeted corner families of
 /// random_instances.h — zero-length bursts, deadline == horizon,
 /// single-slice streams, rate exactly equal to the peak arrival rate — the
-/// boundaries the event engine's skip logic pivots on.
+/// boundaries the simulator's skip logic pivots on.
 TEST(PropertyFuzz, ThreeWayEngineAgreementOnCornerInstances) {
   const int rounds = prop_iters();
   const std::vector<std::string> policies = known_policies();

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "daemon/rtsmoothd.h"
+#include "differential.h"
 #include "obs/json.h"
 #include "policies/policy_factory.h"
 #include "reference_core.h"
@@ -125,17 +126,15 @@ TEST(Reconfig, SteadyStateEngineMatchesReferenceBatch) {
   // differential proves less than it claims.
   EXPECT_GT(batch.dropped_server.bytes, 0);
 
-  // The production cores replay the same schedule: the event-driven engine
-  // must equal the reference batch on every field and reconcile against
-  // the daemon's totals just like the slot core does.
-  sim::SimConfig event_config = sim_config_of(engine);
-  event_config.engine = sim::EngineKind::EventDriven;
-  sim::SmoothingSimulator event_sim(stream, event_config,
-                                    make_policy(engine.policy));
-  const SimReport event_batch = event_sim.run();
-  EXPECT_TRUE(event_batch == batch)
-      << "event-core batch diverges from the reference batch";
-  expect_reports_match(daemon.total_report(), event_batch);
+  // The production simulator replays the same schedule: it must equal the
+  // reference batch on every field and reconcile against the daemon's
+  // totals just like the reference does.
+  sim::SmoothingSimulator production(stream, sim_config_of(engine),
+                                     make_policy(engine.policy));
+  const SimReport production_batch = production.run();
+  EXPECT_TRUE(production_batch == batch)
+      << "production batch diverges from the reference batch";
+  expect_reports_match(daemon.total_report(), production_batch);
 }
 
 TEST(Reconfig, DrainAndReplanMatchesReferencePrefixPlusSuffix) {
@@ -227,29 +226,29 @@ TEST(Reconfig, DrainAndReplanMatchesReferencePrefixPlusSuffix) {
   expect_reports_match(daemon.total_report(), expected);
   EXPECT_EQ(daemon.total_report().offered.bytes, daemon.polled_bytes());
 
-  // The same epoch split replayed on the production cores: the slot and
-  // event engines must produce byte-identical per-epoch reports, and their
-  // sum must reconcile against the daemon's ingest ledger and conservation
-  // totals exactly like the reference sum above.
-  auto batch_sum = [&](sim::EngineKind engine) {
-    sim::SimConfig prefix_config = sim_config_of(first);
-    prefix_config.engine = engine;
-    sim::SmoothingSimulator prefix_sim(prefix_stream, prefix_config,
-                                       make_policy(first.policy));
+  // The same epoch split replayed on the production simulator, stepping
+  // every slot and skipping quiescent spans: both must produce the same
+  // sum, and it must reconcile against the daemon's ingest ledger and
+  // conservation totals exactly like the reference sum above.
+  auto batch_sum = [&](bool stepping) {
+    const sim::SimConfig prefix_config = sim_config_of(first);
+    sim::SmoothingSimulator prefix_sim(
+        prefix_stream, prefix_config, make_policy(first.policy),
+        stepping ? difftest::stepping_link(prefix_config) : nullptr);
     SimReport total = prefix_sim.run();
-    sim::SimConfig suffix_config = sim_config_of(second);
-    suffix_config.engine = engine;
-    sim::SmoothingSimulator suffix_sim(suffix_stream, suffix_config,
-                                       make_policy(second.policy));
+    const sim::SimConfig suffix_config = sim_config_of(second);
+    sim::SmoothingSimulator suffix_sim(
+        suffix_stream, suffix_config, make_policy(second.policy),
+        stepping ? difftest::stepping_link(suffix_config) : nullptr);
     total += suffix_sim.run();
     return total;
   };
-  const SimReport slot_sum = batch_sum(sim::EngineKind::SlotStepped);
-  const SimReport event_sum = batch_sum(sim::EngineKind::EventDriven);
-  EXPECT_TRUE(slot_sum == event_sum)
-      << "slot vs event drain-and-replan batch sums diverge";
-  EXPECT_TRUE(event_sum.conserves());
-  expect_reports_match(daemon.total_report(), event_sum);
+  const SimReport stepping_sum = batch_sum(true);
+  const SimReport skipping_sum = batch_sum(false);
+  EXPECT_TRUE(stepping_sum == skipping_sum)
+      << "stepping vs skipping drain-and-replan batch sums diverge";
+  EXPECT_TRUE(skipping_sum.conserves());
+  expect_reports_match(daemon.total_report(), skipping_sum);
 }
 
 TEST(Reconfig, ManyReconfigsConserveWithBoundedLag) {

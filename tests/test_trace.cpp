@@ -139,6 +139,9 @@ TEST(TraceIo, RejectsMalformedLines) {
   EXPECT_THROW(read_trace(bad2), std::runtime_error);
   std::istringstream bad3("1 2 3 4\n");
   EXPECT_THROW(read_trace(bad3), std::runtime_error);
+  // A size past the 64-bit range is malformed too, not an out_of_range.
+  std::istringstream bad4("I 99999999999999999999\n");
+  EXPECT_THROW(read_trace(bad4), std::runtime_error);
   EXPECT_THROW(read_trace_file("/nonexistent/trace.txt"),
                std::runtime_error);
 }

@@ -34,7 +34,6 @@ benches=(
   abl_jitter
   abl_dependency
   abl_tandem
-  abl_event_engine
   gateway
 )
 
