@@ -1,22 +1,19 @@
-// Live broadcast: drive the server/link/client components step by step, the
-// way an on-line system would — no global Stream pre-registered with a
-// simulator, just frames showing up one slot at a time.
-//
-// This example uses the lower-level core API directly (SmoothingServer,
-// FixedDelayLink, Client) to show what the SmoothingSimulator wires up for
-// you, and prints a live "dashboard" every second of stream time.
+// Live broadcast: frames show up one slot at a time and nothing knows the
+// stream in advance — the way an on-line system runs. No Stream is
+// pre-registered with a simulator: each frame is handed to
+// daemon::LiveEngine (the engine behind rtsmoothd, built from the same
+// server, link and client the batch SmoothingSimulator wires up) on the step
+// it is encoded, and the engine steps on until everything has drained.
+// Prints a live "dashboard" every five seconds of stream time.
 //
 // Run:  ./examples/live_broadcast
+// Exits 1 if the final report does not conserve bytes.
 
 #include <cstdio>
 #include <iostream>
 
-#include "core/client.h"
-#include "core/generic_algorithm.h"
-#include "core/link.h"
 #include "core/planner.h"
-#include "policies/greedy_drop.h"
-#include "trace/slicer.h"
+#include "daemon/live_engine.h"
 #include "trace/stock_clips.h"
 #include "util/stats.h"
 
@@ -29,18 +26,18 @@ int main() {
   const std::size_t seconds = 40;
   const trace::FrameSequence frames =
       trace::stock_clip("action", 25 * seconds);
-  const Stream stream = trace::slice_frames(
-      frames, trace::ValueModel::mpeg_default(), trace::Slicing::ByteSlices);
 
   const Bytes expected_rate = 36 * 1024;  // capacity bought from the carrier
   const Plan plan = Planner::from_delay_rate(/*delay=*/25, expected_rate);
-  const Time link_delay = 3;  // 120 ms propagation
 
-  SmoothingServer server(
-      ServerConfig{.buffer = plan.buffer, .rate = plan.rate},
-      std::make_unique<GreedyDropPolicy>());
-  FixedDelayLink link(link_delay);
-  Client client(stream, plan.buffer, link_delay + plan.delay);
+  daemon::EngineConfig config;
+  config.server_buffer = plan.buffer;
+  config.client_buffer = plan.buffer;
+  config.rate = plan.rate;
+  config.smoothing_delay = plan.delay;
+  config.link_delay = 3;  // 120 ms propagation
+  config.policy = "greedy";
+  daemon::LiveEngine engine(config);
 
   std::cout << "live feed: 25 fps, greedy dropping, R = "
             << format_bytes(static_cast<double>(plan.rate)) << "/frame, D = "
@@ -49,31 +46,30 @@ int main() {
             << "  sec |  offered |   played | srv-buf%% | wloss%%\n"
             << "  ----+----------+----------+----------+-------\n";
 
-  SimReport report;
-  ArrivalCursor cursor(stream);
-  const Time horizon = stream.horizon();
-  const Time last = horizon + link_delay + plan.delay;
-  for (Time t = 0; t <= last; ++t) {
-    auto pieces = server.step(t, cursor.step(t), report, nullptr);
-    link.submit(t, std::move(pieces));
-    const auto delivered = link.deliver(t);
-    client.deliver(t, delivered, report, nullptr);
-    client.play(t, report, nullptr);
+  for (std::size_t t = 0; t < frames.size() || !engine.quiescent(); ++t) {
+    if (t < frames.size()) {
+      const daemon::IngestFrame frame{.type = frames[t].type,
+                                      .size = frames[t].size};
+      engine.step({&frame, 1});
+    } else {
+      engine.step({});
+    }
+    const SimReport& report = engine.report();
     if (t % (25 * 5) == 0 && t > 0) {
       std::printf("  %3lld | %7.1fMB | %7.1fMB | %7.1f%% | %5.2f%%\n",
                   static_cast<long long>(t / 25),
                   static_cast<double>(report.offered.bytes) / (1 << 20),
                   static_cast<double>(report.played.bytes) / (1 << 20),
-                  100.0 * static_cast<double>(server.buffer().occupancy()) /
+                  100.0 * static_cast<double>(engine.server_occupancy()) /
                       static_cast<double>(plan.buffer),
                   100.0 * report.weighted_loss());
     }
   }
-  client.finalize(report);
-  server.account_residual(report);
 
+  const SimReport& report = engine.report();
+  const bool conserves = report.conserves();
   std::cout << "\nfinal: " << report << "\n"
-            << "conservation check: "
-            << (report.conserves() ? "ok" : "VIOLATED") << "\n";
-  return 0;
+            << "conservation check: " << (conserves ? "ok" : "VIOLATED")
+            << "\n";
+  return conserves ? 0 : 1;
 }

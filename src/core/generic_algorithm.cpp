@@ -228,20 +228,4 @@ DropResult SmoothingServer::shed_below_value(double floor,
   return dropped;
 }
 
-void SmoothingServer::account_residual(SimReport& report) const {
-  for (std::size_t i = 0; i < buffer_.chunk_count(); ++i) {
-    const Chunk& c = buffer_.chunk(i);
-    report.residual.add(c.bytes(),
-                        c.run->weight * static_cast<Weight>(c.slices),
-                        c.slices);
-  }
-  for (std::size_t i = 0; i < retx_queue_.size(); ++i) {
-    const RetxEntry& entry = retx_queue_[i];
-    const SliceRun& run = *entry.piece.run;
-    const std::int64_t whole = entry.piece.bytes / run.slice_size;
-    report.residual.add(entry.piece.bytes,
-                        run.weight * static_cast<Weight>(whole), whole);
-  }
-}
-
 }  // namespace rtsmooth

@@ -136,15 +136,16 @@ class SmoothingServer {
 
   /// Invoked with every piece written off as link loss (NACKed but not
   /// recoverable: retries exhausted, or the deadline cannot be met). The
-  /// simulator wires this to Client::add_link_loss so lost bytes stay in the
-  /// conservation ledger.
+  /// simulator and the live engine wire this to Client::add_link_loss so
+  /// lost bytes stay in the conservation ledger.
   using LinkLossSink = std::function<void(const SliceRun& run,
                                           std::size_t run_index, Bytes bytes)>;
   void set_link_loss_sink(LinkLossSink sink) { loss_sink_ = std::move(sink); }
 
   /// Invoked with every server-side drop (Eq. (3) sheds, early drops, value-
-  /// floor sheds) after it has been tallied. Live callers use this for
-  /// per-run ledgers the batch SimReport cannot carry; null by default.
+  /// floor sheds) after it has been tallied. The simulator and the live
+  /// engine wire this to Client::add_server_drop, whose per-run ledger
+  /// decides when a run retires; null by default.
   using DropSink = std::function<void(const SliceRun& run,
                                       std::size_t run_index,
                                       std::int64_t slices)>;
@@ -156,11 +157,6 @@ class SmoothingServer {
   /// once here, so the per-step cost with telemetry on is plain pointer
   /// arithmetic, not map lookups.
   void set_telemetry(obs::Telemetry telemetry);
-
-  /// Moves whatever is still buffered or queued for retransmission into
-  /// `report.residual` (for truncated simulations). The simulator's normal
-  /// path drains instead.
-  void account_residual(SimReport& report) const;
 
  private:
   struct RetxEntry {

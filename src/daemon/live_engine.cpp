@@ -1,6 +1,5 @@
 #include "daemon/live_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -10,8 +9,6 @@
 
 namespace rtsmooth::daemon {
 namespace {
-
-std::size_t type_index(FrameType t) { return static_cast<std::size_t>(t); }
 
 ServerConfig server_config(const EngineConfig& config) {
   ServerConfig sc{.buffer = config.server_buffer,
@@ -25,6 +22,12 @@ Bytes piece_bytes(std::span<const SentPiece> pieces) {
   Bytes sum = 0;
   for (const SentPiece& piece : pieces) sum += piece.bytes;
   return sum;
+}
+
+/// Aborts on an invalid config before any member sized from it is built.
+EngineConfig validated(EngineConfig config) {
+  RTS_EXPECTS(config.validate().empty());
+  return config;
 }
 
 double lost_weight_so_far(const SimReport& r) {
@@ -50,32 +53,29 @@ std::string EngineConfig::validate() const {
 
 LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
                        std::unique_ptr<Link> link)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       telemetry_(telemetry),
       server_(server_config(config_),
               make_policy(config_.policy, config_.policy_seed)),
       link_(link ? std::move(link)
-                 : std::make_unique<FixedDelayLink>(config_.link_delay)) {
-  RTS_EXPECTS(config_.validate().empty());
-  slots_.resize(config_.max_live_runs);
-  due_ring_.resize(static_cast<std::size_t>(config_.playout_offset()) + 2);
-  arrived_this_step_.reserve(16);
+                 : std::make_unique<FixedDelayLink>(config_.link_delay)),
+      client_(config_.max_live_runs, config_.client_buffer,
+              config_.playout_offset()),
+      runs_(config_.max_live_runs) {
   server_.set_link_loss_sink([this](const SliceRun& /*run*/,
                                     std::size_t run_index, Bytes bytes) {
-    RunSlot& s = slot_of(run_index);
-    s.link_lost += bytes;
-    maybe_retire(s);
+    client_.add_link_loss(run_index, bytes, report_);
   });
-  server_.set_drop_sink([this](const SliceRun& run, std::size_t run_index,
+  server_.set_drop_sink([this](const SliceRun& /*run*/, std::size_t run_index,
                                std::int64_t slices) {
-    RunSlot& s = slot_of(run_index);
-    s.dropped_server += run.slice_size * slices;
-    maybe_retire(s);
+    client_.add_server_drop(run_index, slices, report_);
   });
   if (telemetry_.enabled()) {
     server_.set_telemetry(telemetry_);
     link_->set_telemetry(telemetry_);
   }
+  // The client carries no telemetry of its own here: step() fills the
+  // daemon's client metrics from the step's deltas.
   if (telemetry_.registry != nullptr) {
     obs::Registry& reg = *telemetry_.registry;
     played_bytes_ = &reg.counter("client.played_bytes");
@@ -93,8 +93,7 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
 
 void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
   RTS_EXPECTS(frame.size >= 1);
-  RunSlot& s = slots_[next_seq_ % slots_.size()];
-  if (s.active) {
+  if (!client_.can_admit(next_seq_)) {
     // The pipeline still owes bytes from max_live_runs frames ago:
     // backpressure instead of unbounded state.
     st.refused += frame.size;
@@ -104,24 +103,19 @@ void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
     if (refused_frames_ != nullptr) refused_frames_->add(1);
     return;
   }
-  s = RunSlot{};
-  s.seq = next_seq_++;
-  s.active = true;
-  s.run.arrival = now_;
-  s.run.slice_size = 1;
-  s.run.count = frame.size;
-  s.run.weight = config_.values.byte_value(frame.type);
-  s.run.frame_type = frame.type;
-  s.run.frame_index = static_cast<Time>(s.seq);
-  ++active_runs_;
-  server_.admit(s.run, static_cast<std::size_t>(s.seq));
-  due_ring_[static_cast<std::size_t>(
-               (now_ + config_.playout_offset()) %
-               static_cast<Time>(due_ring_.size()))]
-      .push_back(s.seq);
+  const std::size_t seq = next_seq_++;
+  SliceRun& run = runs_[seq % runs_.size()];
+  run = SliceRun{.arrival = now_,
+                 .slice_size = 1,
+                 .count = frame.size,
+                 .weight = config_.values.byte_value(frame.type),
+                 .frame_type = frame.type,
+                 .frame_index = static_cast<std::int64_t>(seq)};
+  client_.admit(run, seq);
+  server_.admit(run, seq);
   st.arrived += frame.size;
   st.admitted += 1;
-  st.offered_weight += s.run.total_weight();
+  st.offered_weight += run.total_weight();
 }
 
 StepStats LiveEngine::step(std::span<const IngestFrame> frames,
@@ -132,7 +126,12 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   const Bytes played_before = report_.played.bytes;
   const Bytes dropped_server_before = report_.dropped_server.bytes;
   const Bytes retx_before = report_.retransmitted_bytes;
-  const Bytes client_dropped_before = total_late_ + total_overflow_;
+  const Bytes late_before = client_.late_bytes_so_far();
+  const Bytes overflow_before = client_.overflow_bytes_so_far();
+  const Bytes client_dropped_before = client_.dropped_bytes_so_far();
+  const std::int64_t playouts_before = client_.playouts();
+  const std::int64_t degraded_before = client_.degraded_playouts();
+  const std::int64_t live_before = client_.live_runs();
   const double lost_weight_before = lost_weight_so_far(report_);
 
   const auto nacks = link_->collect_nacks(t);
@@ -149,22 +148,38 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   if (!pieces_.empty()) link_->submit(t, std::move(pieces_));
   auto delivered = link_->deliver(t);
   st.delivered = piece_bytes(delivered);
-  deliver(t, delivered, st);
-  play(t, st);
-  settle_capacity(st);
-  report_.max_client_occupancy =
-      std::max(report_.max_client_occupancy, occupancy_);
-  if (max_client_occupancy_ != nullptr) max_client_occupancy_->update(occupancy_);
-  RTS_ENSURES(occupancy_ >= 0);
+  client_.deliver(t, delivered, report_, nullptr);
+  client_.play(t, report_, nullptr);
 
   st.played = report_.played.bytes - played_before;
   st.dropped_server = report_.dropped_server.bytes - dropped_server_before;
-  st.dropped_client = total_late_ + total_overflow_ - client_dropped_before;
+  st.dropped_client = client_.dropped_bytes_so_far() - client_dropped_before;
   st.retransmitted = report_.retransmitted_bytes - retx_before;
   st.lost_weight = lost_weight_so_far(report_) - lost_weight_before;
+  st.playouts = client_.playouts() - playouts_before;
+  st.degraded = client_.degraded_playouts() - degraded_before;
   st.server_occupancy = server_.buffer().occupancy();
-  st.client_occupancy = occupancy_;
+  st.client_occupancy = client_.occupancy();
   st.link_idle = link_->idle();
+
+  if (telemetry_.registry != nullptr) {
+    played_bytes_->add(st.played);
+    late_bytes_->add(client_.late_bytes_so_far() - late_before);
+    overflow_bytes_->add(client_.overflow_bytes_so_far() - overflow_before);
+    retired_runs_->add(st.admitted - (client_.live_runs() - live_before));
+    max_client_occupancy_->update(st.client_occupancy);
+    // Unit slices under a fixed offset: a delivered byte is late exactly
+    // when its playout step has passed.
+    for (const SentPiece& piece : delivered) {
+      const Time slack = client_.playout_step(piece.run->arrival) - t;
+      if (slack >= 0) {
+        hist_slack_->record(slack, piece.bytes);
+      } else {
+        hist_lateness_->record(-slack, piece.bytes);
+        max_lateness_->update(-slack);
+      }
+    }
+  }
 
   if (telemetry_.recorder != nullptr) {
     obs::StepRecord record;
@@ -189,149 +204,10 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   return st;
 }
 
-void LiveEngine::deliver(Time t, std::span<const SentPiece> pieces,
-                         StepStats& st) {
-  (void)st;
-  for (const SentPiece& piece : pieces) {
-    RTS_ASSERT(piece.bytes > 0);
-    RunSlot& s = slot_of(piece.run_index);
-    const Time playout_at = s.run.arrival + config_.playout_offset();
-    if (s.played_out || playout_at < t) {
-      // deliver() runs before play() each step, so a missed deadline always
-      // means playout_at < t: the byte is (t - playout_at) steps late.
-      const Time lateness = t - playout_at;
-      report_.max_lateness = std::max(report_.max_lateness, lateness);
-      s.late_lost += piece.bytes;
-      total_late_ += piece.bytes;
-      if (late_bytes_ != nullptr) late_bytes_->add(piece.bytes);
-      if (hist_lateness_ != nullptr) {
-        hist_lateness_->record(lateness, piece.bytes);
-        max_lateness_->update(report_.max_lateness);
-      }
-      maybe_retire(s);
-      continue;
-    }
-    if (hist_slack_ != nullptr) {
-      hist_slack_->record(playout_at - t, piece.bytes);
-    }
-    s.stored += piece.bytes;
-    occupancy_ += piece.bytes;
-    arrived_this_step_.push_back({s.seq, piece.bytes});
-  }
-}
-
-void LiveEngine::play(Time t, StepStats& st) {
-  auto& due =
-      due_ring_[static_cast<std::size_t>(t % static_cast<Time>(due_ring_.size()))];
-  for (const std::uint64_t seq : due) {
-    RunSlot& s = slot_of(static_cast<std::size_t>(seq));
-    RTS_ASSERT(!s.played_out);
-    s.played_out = true;
-    // Unit slices: every stored byte is a complete slice; leftovers cannot
-    // occur, so Skip-vs-Stall underflow policies coincide here.
-    const Bytes played = s.stored;
-    s.played = played;
-    occupancy_ -= s.stored;
-    s.stored = 0;
-    const Weight w = s.run.weight * static_cast<Weight>(played);
-    report_.played.add(played, w, played);
-    report_.played_by_type[type_index(s.run.frame_type)].add(played, w, played);
-    if (played_bytes_ != nullptr) played_bytes_->add(played);
-    st.playouts += 1;
-    if (played < s.run.count) st.degraded += 1;
-    maybe_retire(s);
-  }
-  due.clear();
-}
-
-void LiveEngine::settle_capacity(StepStats& st) {
-  (void)st;
-  // Evict the newest delivered bytes until the post-playout occupancy fits
-  // (mirrors Client::settle_capacity byte for byte).
-  while (occupancy_ > config_.client_buffer && !arrived_this_step_.empty()) {
-    auto& [seq, bytes] = arrived_this_step_.back();
-    RunSlot& s = slot_of(static_cast<std::size_t>(seq));
-    const Bytes excess = occupancy_ - config_.client_buffer;
-    const Bytes evict = std::min({excess, bytes, s.stored});
-    if (evict == 0) {
-      // This piece's frame already played this step; nothing left to evict.
-      arrived_this_step_.pop_back();
-      continue;
-    }
-    s.stored -= evict;
-    s.overflow_lost += evict;
-    total_overflow_ += evict;
-    if (overflow_bytes_ != nullptr) overflow_bytes_->add(evict);
-    occupancy_ -= evict;
-    bytes -= evict;
-    if (bytes == 0) arrived_this_step_.pop_back();
-  }
-  RTS_ASSERT(occupancy_ <= config_.client_buffer);
-  arrived_this_step_.clear();
-}
-
-void LiveEngine::maybe_retire(RunSlot& s) {
-  if (!s.played_out || s.accounted() != s.run.count) return;
-  // After playout the slot stores nothing (play zeroes it; later deliveries
-  // go to late_lost), so accounted()==count means no byte is owed anywhere —
-  // not in the server buffer, the retransmission queue, the link, or the
-  // client. Apply Client::finalize()'s per-run ledger math (unit slices:
-  // leftover losses cannot occur and slice counts equal byte counts).
-  RTS_ASSERT(s.stored == 0);
-  const Weight value = s.run.weight;
-  if (s.overflow_lost > 0) {
-    report_.dropped_client_overflow.add(
-        s.overflow_lost, value * static_cast<Weight>(s.overflow_lost),
-        s.overflow_lost);
-  }
-  if (s.link_lost > 0) {
-    report_.lost_link.add(s.link_lost,
-                          value * static_cast<Weight>(s.link_lost), s.link_lost);
-  }
-  if (s.late_lost > 0) {
-    report_.dropped_client_late.add(
-        s.late_lost, value * static_cast<Weight>(s.late_lost), s.late_lost);
-  }
-  s.active = false;
-  --active_runs_;
-  if (retired_runs_ != nullptr) retired_runs_->add(1);
-}
-
 void LiveEngine::abort_residual() {
   RTS_EXPECTS(!aborted_);
   aborted_ = true;
-  for (RunSlot& s : slots_) {
-    if (!s.active) continue;
-    // Classify what is already terminal exactly as maybe_retire would...
-    const Weight value = s.run.weight;
-    if (s.overflow_lost > 0) {
-      report_.dropped_client_overflow.add(
-          s.overflow_lost, value * static_cast<Weight>(s.overflow_lost),
-          s.overflow_lost);
-    }
-    if (s.link_lost > 0) {
-      report_.lost_link.add(s.link_lost,
-                            value * static_cast<Weight>(s.link_lost),
-                            s.link_lost);
-    }
-    if (s.late_lost > 0) {
-      report_.dropped_client_late.add(
-          s.late_lost, value * static_cast<Weight>(s.late_lost), s.late_lost);
-    }
-    // ...and everything still owed (client-stored, server-buffered, in
-    // flight, queued for retransmission) becomes residual in one number.
-    const Bytes rem = s.run.count - s.accounted();
-    RTS_ASSERT(rem >= 0);
-    if (rem > 0) {
-      report_.residual.add(rem, value * static_cast<Weight>(rem), rem);
-    }
-    occupancy_ -= s.stored;
-    s.stored = 0;
-    s.active = false;
-    --active_runs_;
-  }
-  RTS_ASSERT(active_runs_ == 0);
-  occupancy_ = 0;
+  client_.finalize(report_);
 }
 
 }  // namespace rtsmooth::daemon

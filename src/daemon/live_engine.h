@@ -1,24 +1,23 @@
 // LiveEngine: the simulator pipeline (server -> link -> client) repackaged
 // for endless serving (DESIGN.md Sect. 13).
 //
-// The batch SmoothingSimulator is stream-indexed: the Stream is immutable,
-// the Client holds one RunState per run, and the run loop ends at a known
-// horizon. A daemon has none of that — frames keep coming, so run state
-// must be *recycled*. The engine keeps a fixed arena of RunSlots; an
-// admitted frame becomes a unit-slice SliceRun pinned in its slot (the
-// server buffer and link hold pointers into it), identified by a monotone
-// sequence number, and the slot is reused only once every byte of the run
-// is in a terminal accounting state (played, dropped, lost, or written
-// off). A full target slot means the pipeline still owes bytes from
-// max_live_runs frames ago — admission is refused, which is the engine's
-// built-in backpressure and keeps memory bounded forever.
+// The batch SmoothingSimulator walks an immutable Stream to a known
+// horizon. A daemon has neither — frames keep coming, so run state must be
+// *recycled*. The engine is the batch pipeline's own parts: a
+// SmoothingServer, a Link, and a core Client whose run table holds
+// max_live_runs slots, plus a pinned arena of the same size. An admitted
+// frame becomes a unit-slice SliceRun in arena slot seq % max_live_runs
+// (the server buffer, link and client hold pointers into it), identified by
+// a monotone sequence number. The Client retires a run on the step its last
+// byte becomes terminal (played, dropped, late, overflowed, or written off),
+// which frees the slot. Frame s gets sequence number s only once run
+// s - max_live_runs has retired; otherwise it is refused — the engine's
+// built-in backpressure, which keeps memory bounded forever.
 //
-// The client side mirrors core/client.h semantics exactly (Skip underflow
-// policy, ArrivalPlusOffset playout) but retires runs incrementally with
-// the same per-run ledger math Client::finalize() applies at end of run —
-// so a drained engine's SimReport is byte-identical to a batch run over the
-// same arrivals, which tests/test_reconfig.cpp pins differentially against
-// the reference oracle.
+// Because the client ledger is core/client.h itself, a drained engine's
+// SimReport equals a batch run over the same arrivals, which
+// tests/test_reconfig.cpp pins against the reference oracle and
+// tests/test_property.cpp step by step against the simulator.
 
 #pragma once
 
@@ -28,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/client.h"
 #include "core/generic_algorithm.h"
 #include "core/link.h"
 #include "core/metrics.h"
@@ -36,7 +36,6 @@
 #include "daemon/frame_source.h"
 #include "obs/telemetry.h"
 #include "trace/value_model.h"
-#include "util/assert.h"
 
 namespace rtsmooth::daemon {
 
@@ -50,9 +49,9 @@ struct EngineConfig {
   std::uint64_t policy_seed = 7;
   trace::ValueModel values = trace::ValueModel::mpeg_default();
   RecoveryConfig recovery{};
-  /// Run-slot arena size == max frames simultaneously in flight anywhere in
-  /// the pipeline. Admission refuses (backpressure) when the target slot is
-  /// still owed bytes.
+  /// Run table and arena size == max frames simultaneously live anywhere in
+  /// the pipeline. Frame s is refused (backpressure) until run
+  /// s - max_live_runs has retired.
   std::size_t max_live_runs = 4096;
 
   Time playout_offset() const { return link_delay + smoothing_delay; }
@@ -110,14 +109,15 @@ class LiveEngine {
   /// True when nothing is owed anywhere: server buffer and retransmission
   /// queue empty, link empty, no client-stored bytes, no live runs.
   bool quiescent() const {
-    return aborted_ || (server_.idle() && link_->idle() && occupancy_ == 0 &&
-                        active_runs_ == 0);
+    return aborted_ || (server_.idle() && link_->idle() &&
+                        client_.occupancy() == 0 && client_.live_runs() == 0);
   }
 
   /// Moves everything still owed by live runs (server-buffered, in flight,
-  /// client-stored) into report().residual and deactivates the engine, for
-  /// drains that hit their ceiling (e.g. a permanent link outage). After
-  /// this the engine is quiescent and must not be stepped.
+  /// client-stored) into report().residual via Client::finalize() and
+  /// deactivates the engine, for drains that hit their ceiling (e.g. a
+  /// permanent link outage). After this the engine is quiescent and must
+  /// not be stepped.
   void abort_residual();
 
   /// Offset added to engine-local time in FlightRecorder step records, so a
@@ -126,64 +126,31 @@ class LiveEngine {
   void set_record_base(Time base) { record_base_ = base; }
 
   Time now() const { return now_; }
-  std::int64_t active_runs() const { return active_runs_; }
+  std::int64_t active_runs() const { return client_.live_runs(); }
   const EngineConfig& config() const { return config_; }
   /// Cumulative report over everything admitted so far. conserves() holds
   /// exactly when no runs are live (drained or aborted).
   const SimReport& report() const { return report_; }
   Bytes server_occupancy() const { return server_.buffer().occupancy(); }
-  Bytes client_occupancy() const { return occupancy_; }
+  Bytes client_occupancy() const { return client_.occupancy(); }
 
  private:
-  struct RunSlot {
-    SliceRun run{};  ///< pinned: server chunks and link pieces point here
-    std::uint64_t seq = 0;
-    bool active = false;
-    bool played_out = false;
-    Bytes stored = 0;          ///< client-buffered, not yet played
-    Bytes played = 0;
-    Bytes overflow_lost = 0;
-    Bytes late_lost = 0;
-    Bytes link_lost = 0;
-    Bytes dropped_server = 0;
-    /// Bytes already in a terminal accounting category.
-    Bytes accounted() const {
-      return played + overflow_lost + late_lost + link_lost + dropped_server;
-    }
-  };
-
-  RunSlot& slot_of(std::size_t run_index) {
-    RunSlot& s = slots_[run_index % slots_.size()];
-    RTS_ASSERT(s.active && s.seq == run_index);
-    return s;
-  }
   void admit_frame(const IngestFrame& frame, StepStats& st);
-  void deliver(Time t, std::span<const SentPiece> pieces, StepStats& st);
-  void play(Time t, StepStats& st);
-  void settle_capacity(StepStats& st);
-  /// Retires `s` if every byte is terminal and playout has passed: applies
-  /// Client::finalize()'s per-run ledger math to report_ and frees the slot.
-  void maybe_retire(RunSlot& s);
 
   EngineConfig config_;
   obs::Telemetry telemetry_;
   SmoothingServer server_;
   std::unique_ptr<Link> link_;
-  std::vector<RunSlot> slots_;
-  /// due_ring_[t % size] = seqs whose playout step is t; entry vectors are
-  /// cleared after playout and their capacity reused.
-  std::vector<std::vector<std::uint64_t>> due_ring_;
-  std::vector<std::pair<std::uint64_t, Bytes>> arrived_this_step_;
+  Client client_;
+  /// Pinned run arena: frame seq lives in runs_[seq % max_live_runs] until
+  /// the client retires it.
+  std::vector<SliceRun> runs_;
   std::vector<SentPiece> pieces_;
   SimReport report_;
   Time now_ = 0;
   Time record_base_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::int64_t active_runs_ = 0;
-  Bytes occupancy_ = 0;  ///< client buffer occupancy
+  std::size_t next_seq_ = 0;
   bool aborted_ = false;
-  Bytes total_late_ = 0;
-  Bytes total_overflow_ = 0;
   // Instruments resolved once at construction; null when telemetry is off.
   obs::Counter* played_bytes_ = nullptr;
   obs::Counter* late_bytes_ = nullptr;

@@ -29,13 +29,6 @@ Bytes piece_bytes(std::span<const SentPiece> pieces) {
   return sum;
 }
 
-/// Everything the client has discarded so far, matching the CSV step trace's
-/// dropped_client semantics (late + overflow + partial slices at playout).
-Bytes client_dropped_so_far(const Client& client) {
-  return client.late_bytes_so_far() + client.overflow_bytes_so_far() +
-         client.leftover_bytes_so_far();
-}
-
 /// The tracer's JSONL step event for one step record: "type" first, then the
 /// record's fields in declaration order, minus link_idle (the trace format
 /// predates it).
@@ -117,7 +110,7 @@ SmoothingSimulator::SmoothingSimulator(const Stream& stream, SimConfig config,
       server_(server_config(config), std::move(policy)),
       link_(link ? std::move(link)
                  : std::make_unique<FixedDelayLink>(config.link_delay)),
-      client_(stream, config.client_buffer,
+      client_(stream.run_count(), config.client_buffer,
               config.link_delay + config.smoothing_delay, config.playout,
               config.smoothing_delay, config.underflow, config.max_stall) {
   if (config_.telemetry.enabled()) {
@@ -130,14 +123,19 @@ SmoothingSimulator::SmoothingSimulator(const Stream& stream, SimConfig config,
 SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   RTS_EXPECTS(!ran_);
   ran_ = true;
-  SimReport report;
+  SimReport& report = report_;
   ArrivalCursor cursor(*stream_);
   faults::InvariantMonitor monitor(config_.server_buffer, config_.rate,
                                    config_.telemetry);
-  server_.set_link_loss_sink(
-      [this](const SliceRun& /*run*/, std::size_t run_index, Bytes bytes) {
-        client_.add_link_loss(run_index, bytes);
-      });
+  // Per-run server drops and write-offs settle the client's run ledger.
+  server_.set_drop_sink([this](const SliceRun& /*run*/, std::size_t run_index,
+                               std::int64_t slices) {
+    client_.add_server_drop(run_index, slices, report_);
+  });
+  server_.set_link_loss_sink([this](const SliceRun& /*run*/,
+                                    std::size_t run_index, Bytes bytes) {
+    client_.add_link_loss(run_index, bytes, report_);
+  });
 
   // Telemetry instruments, resolved once; all null when disabled, so the
   // per-step cost of the instrumentation below is a handful of predictable
@@ -217,15 +215,16 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
                                    : 0;
     const Bytes played_before = observing ? report.played.bytes : 0;
     const Bytes client_dropped_before =
-        observing ? client_dropped_so_far(client_) : 0;
+        observing ? client_.dropped_bytes_so_far() : 0;
     const Bytes retx_before = observing ? report.retransmitted_bytes : 0;
     const Time stalls_before = observing ? client_.stall_steps() : 0;
     obs::StepRecord step{.t = now};
 
     const auto nacks = link_->collect_nacks(now);
     const ArrivalBatch batch = cursor.step(now);
-    if (observing) {
-      for (const SliceRun& run : batch.runs) step.arrived += run.total_bytes();
+    for (std::size_t i = 0; i < batch.runs.size(); ++i) {
+      client_.admit(batch.runs[i], batch.first_index + i);
+      if (observing) step.arrived += batch.runs[i].total_bytes();
     }
     pieces.clear();
     {
@@ -256,7 +255,7 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
       step.played = report.played.bytes - played_before;
       step.dropped_server = report.dropped_server.bytes - drops_before;
       step.dropped_client =
-          client_dropped_so_far(client_) - client_dropped_before;
+          client_.dropped_bytes_so_far() - client_dropped_before;
       step.retransmitted = report.retransmitted_bytes - retx_before;
       step.server_occupancy = server_.buffer().occupancy();
       step.client_occupancy = client_.occupancy();
@@ -337,7 +336,6 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   }
   report.steps = t;
   client_.finalize(report);
-  server_.account_residual(report);
   monitor.finalize(report);
   if (reg != nullptr) {
     reg->counter("sim.steps").add(report.steps);

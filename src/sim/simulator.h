@@ -103,6 +103,9 @@ class SmoothingSimulator {
   SmoothingServer server_;
   std::unique_ptr<Link> link_;
   Client client_;
+  /// The run's report; the server's drop and link-loss sinks settle the
+  /// client's run ledger into it mid-step.
+  SimReport report_;
   bool ran_ = false;
 };
 

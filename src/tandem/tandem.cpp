@@ -48,18 +48,20 @@ TandemReport TandemSimulator::run() {
   for (const Hop& hop : hops_) total_link_delay += hop.config.link_delay;
   report.playout_offset = total_link_delay + smoothing_delay_;
 
-  // Per-hop drop accounting through the buffer observers.
+  Client client(stream_->run_count(), client_buffer_, report.playout_offset);
+  SimReport& sim = report.end_to_end;
+  // Per-hop drop accounting through the buffer observers, which also settle
+  // the client's run ledger.
   for (Hop& hop : hops_) {
     Tally* tally = &hop.dropped;
-    hop.buffer.set_drop_observer(
-        [tally](const SliceRun& run, std::size_t, std::int64_t slices) {
-          tally->add(run.slice_size * slices,
-                     run.weight * static_cast<Weight>(slices), slices);
-        });
+    hop.buffer.set_drop_observer([tally, &client, &sim](const SliceRun& run,
+                                                        std::size_t run_index,
+                                                        std::int64_t slices) {
+      tally->add(run.slice_size * slices,
+                 run.weight * static_cast<Weight>(slices), slices);
+      client.add_server_drop(run_index, slices, sim);
+    });
   }
-
-  Client client(*stream_, client_buffer_, report.playout_offset);
-  SimReport& sim = report.end_to_end;
   ArrivalCursor cursor(*stream_);
   const Time horizon = stream_->horizon();
   const Time last_playout = horizon - 1 + report.playout_offset;
@@ -82,6 +84,7 @@ TandemReport TandemSimulator::run() {
     const ArrivalBatch batch = cursor.step(t);
     for (std::size_t i = 0; i < batch.runs.size(); ++i) {
       const SliceRun& run = batch.runs[i];
+      client.admit(run, batch.first_index + i);
       hops_.front().buffer.push(run, batch.first_index + i, run.count);
       sim.offered.add(run.total_bytes(), run.total_weight(), run.count);
       sim.offered_by_type[type_index(run.frame_type)].add(
@@ -115,16 +118,12 @@ TandemReport TandemSimulator::run() {
     client.play(t, sim, nullptr);
     sim.steps = t + 1;
   }
+  // The loop drains every hop, so finalize() finds nothing owed.
   client.finalize(sim);
   for (Hop& hop : hops_) {
     report.hop_drops.push_back(hop.dropped);
     sim.dropped_server += hop.dropped;
-    for (std::size_t i = 0; i < hop.buffer.chunk_count(); ++i) {
-      const Chunk& c = hop.buffer.chunk(i);
-      sim.residual.add(c.bytes(),
-                       c.run->weight * static_cast<Weight>(c.slices),
-                       c.slices);
-    }
+    hop.buffer.set_drop_observer(nullptr);  // it refers to this run's client
   }
   RTS_ENSURES(sim.conserves());
   return report;

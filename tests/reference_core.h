@@ -348,21 +348,6 @@ class ReferenceServer {
     return out;
   }
 
-  void account_residual(SimReport& report) const {
-    for (std::size_t i = 0; i < buffer_.chunk_count(); ++i) {
-      const Chunk& c = buffer_.chunk(i);
-      report.residual.add(c.bytes(),
-                          c.run->weight * static_cast<Weight>(c.slices),
-                          c.slices);
-    }
-    for (const RetxEntry& entry : retx_queue_) {
-      const SliceRun& run = *entry.piece.run;
-      const std::int64_t whole = entry.piece.bytes / run.slice_size;
-      report.residual.add(entry.piece.bytes,
-                          run.weight * static_cast<Weight>(whole), whole);
-    }
-  }
-
  private:
   struct RetxEntry {
     SentPiece piece;
@@ -450,7 +435,6 @@ class ReferenceClient {
   }
 
   void deliver(Time t, std::span<const SentPiece> pieces, SimReport& report) {
-    (void)report;
     for (const SentPiece& piece : pieces) {
       RTS_ASSERT(piece.bytes > 0);
       RunState& rs = runs_[piece.run_index];
@@ -461,6 +445,8 @@ class ReferenceClient {
       }
       const Time playout_at = playout_step(piece.run->arrival);
       if (rs.played_out || playout_at < t) {
+        report.max_lateness = std::max(
+            report.max_lateness, t - (rs.played_out ? rs.played_at : playout_at));
         rs.late_lost += piece.bytes;
         total_late_ += piece.bytes;
         continue;
@@ -540,6 +526,7 @@ class ReferenceClient {
     Bytes link_lost = 0;
     std::int64_t played = 0;
     bool played_out = false;
+    Time played_at = kNever;
   };
 
   Time playout_step(Time arrival) const {
@@ -582,6 +569,7 @@ class ReferenceClient {
       RunState& rs = runs_[run_index];
       RTS_ASSERT(!rs.played_out);
       rs.played_out = true;
+      rs.played_at = t;
       const std::int64_t complete = rs.stored / run.slice_size;
       const Bytes played_bytes = complete * run.slice_size;
       const Bytes leftover = rs.stored - played_bytes;
@@ -772,7 +760,6 @@ class ReferenceSimulator {
     }
     report.steps = t;
     client_.finalize(report);
-    server_.account_residual(report);
     if (tracer != nullptr) {
       obs::Json event = obs::Json::object();
       event["type"] = "run";

@@ -17,7 +17,8 @@
 // The guard runs with telemetry off and with the Registry + FlightRecorder
 // attached (cached-pointer instruments and the recorder ring must also be
 // allocation-free per step). The JSONL tracer is exempt by design — it
-// builds strings.
+// builds strings. The daemon's LiveEngine gets the same marginal check over
+// its recycling run table, with telemetry off and with a registry.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,7 @@
 
 #include "core/planner.h"
 #include "core/slice.h"
+#include "daemon/live_engine.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "policies/policy_factory.h"
@@ -170,6 +172,60 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, AllocGuard,
                            }
                            return name;
                          });
+
+/// The daemon engine fed the same two frames every step, oversubscribed
+/// (40 bytes offered vs rate 30) so greedy sheds every step, with a run
+/// table small enough to recycle its slots hundreds of times yet never
+/// refuse. Identical warm-up, so allocs(T) == allocs(2T) iff the steady
+/// step is allocation-free.
+std::size_t count_engine_allocs(Time steps, obs::Registry* registry) {
+  daemon::EngineConfig config;
+  config.rate = 30;
+  config.smoothing_delay = 2;
+  config.server_buffer = 60;
+  config.client_buffer = 60;
+  config.link_delay = 1;
+  config.policy = "greedy";
+  config.max_live_runs = 64;
+  daemon::LiveEngine engine(config, obs::Telemetry{.registry = registry});
+  const std::vector<daemon::IngestFrame> frames = {
+      {.type = FrameType::I, .size = 25}, {.type = FrameType::B, .size = 15}};
+  Bytes refused = 0;
+  g_news.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (Time t = 0; t < steps; ++t) refused += engine.step(frames).refused;
+  g_counting.store(false, std::memory_order_relaxed);
+  const std::size_t allocs = g_news.load(std::memory_order_relaxed);
+  EXPECT_EQ(refused, 0) << "the run table refused frames";
+  EXPECT_GT(engine.report().played.bytes, 0);
+  EXPECT_GT(engine.report().dropped_server.bytes, 0)
+      << "config no longer oversubscribes; the shed path is not exercised";
+  return allocs;
+}
+
+TEST(LiveEngineAllocGuard, SteadyStateStepIsAllocationFree) {
+#ifdef RTSMOOTH_ALLOC_GUARD_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#endif
+  const std::size_t base = count_engine_allocs(300, nullptr);
+  const std::size_t doubled = count_engine_allocs(600, nullptr);
+  EXPECT_EQ(base, doubled)
+      << "the extra 300 engine steps allocated " << (doubled - base)
+      << " times: the engine is no longer allocation-free after warm-up";
+}
+
+TEST(LiveEngineAllocGuard, SteadyStateStepIsAllocationFreeWithRegistry) {
+#ifdef RTSMOOTH_ALLOC_GUARD_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#endif
+  obs::Registry registry_base;
+  const std::size_t base = count_engine_allocs(300, &registry_base);
+  obs::Registry registry_doubled;
+  const std::size_t doubled = count_engine_allocs(600, &registry_doubled);
+  EXPECT_EQ(base, doubled)
+      << "the extra 300 engine steps allocated " << (doubled - base)
+      << " times with a registry attached";
+}
 
 }  // namespace
 }  // namespace rtsmooth

@@ -12,6 +12,14 @@ namespace {
 using testing::stream_of;
 using testing::units;
 
+/// A client with every run of `s` admitted up front; the simulator admits
+/// each run on its arrival step.
+Client admitted(const Stream& s, Bytes capacity, Time playout_offset) {
+  Client client(s.run_count(), capacity, playout_offset);
+  for (std::size_t i = 0; i < s.run_count(); ++i) client.admit(s.runs()[i], i);
+  return client;
+}
+
 std::vector<SentPiece> piece_of(const Stream& s, std::size_t run_index,
                                 Bytes bytes, std::int64_t completed) {
   return {SentPiece{.run = &s.runs()[run_index],
@@ -23,7 +31,7 @@ std::vector<SentPiece> piece_of(const Stream& s, std::size_t run_index,
 TEST(Client, PlaysCompleteFrameAtOffset) {
   const Stream s = stream_of({units(0, 4, 2.0)});
   SimReport report;
-  Client client(s, /*capacity=*/100, /*playout_offset=*/3);
+  Client client = admitted(s, /*capacity=*/100, /*playout_offset=*/3);
   client.deliver(1, piece_of(s, 0, 4, 4), report, nullptr);
   client.play(1, report, nullptr);
   client.play(2, report, nullptr);
@@ -42,7 +50,7 @@ TEST(Client, BytesArrivingAtPlayoutStepStillPlay) {
   // Lemma 3.3's equality case RT = AT + P + B/R must count as on time.
   const Stream s = stream_of({units(0, 2)});
   SimReport report;
-  Client client(s, 100, 2);
+  Client client = admitted(s, 100, 2);
   client.deliver(2, piece_of(s, 0, 2, 2), report, nullptr);
   client.play(2, report, nullptr);
   EXPECT_EQ(report.played.slices, 2);
@@ -51,7 +59,7 @@ TEST(Client, BytesArrivingAtPlayoutStepStillPlay) {
 TEST(Client, LateBytesAreDeadlineMisses) {
   const Stream s = stream_of({units(0, 3)});
   SimReport report;
-  Client client(s, 100, 1);
+  Client client = admitted(s, 100, 1);
   client.play(1, report, nullptr);  // playout step passes, nothing stored
   client.deliver(2, piece_of(s, 0, 3, 3), report, nullptr);
   client.finalize(report);
@@ -63,7 +71,7 @@ TEST(Client, LateBytesAreDeadlineMisses) {
 TEST(Client, OverflowEvictsExcessAfterPlayout) {
   const Stream s = stream_of({units(0, 8)});
   SimReport report;
-  Client client(s, /*capacity=*/5, /*playout_offset=*/4);
+  Client client = admitted(s, /*capacity=*/5, /*playout_offset=*/4);
   client.deliver(1, piece_of(s, 0, 8, 8), report, nullptr);
   client.play(1, report, nullptr);  // settles capacity for the step
   EXPECT_EQ(client.occupancy(), 5);
@@ -80,7 +88,7 @@ TEST(Client, SameStepPlayoutMakesRoomBeforeCapacityCheck) {
   // not an overflow.
   const Stream s = stream_of({units(0, 4), units(1, 4)});
   SimReport report;
-  Client client(s, /*capacity=*/4, /*playout_offset=*/2);
+  Client client = admitted(s, /*capacity=*/4, /*playout_offset=*/2);
   client.deliver(1, piece_of(s, 0, 4, 4), report, nullptr);
   client.play(1, report, nullptr);
   client.deliver(2, piece_of(s, 1, 4, 4), report, nullptr);  // 8 transient
@@ -98,7 +106,7 @@ TEST(Client, IncompleteSliceDoesNotPlay) {
   const Stream s = stream_of(
       {SliceRun{.arrival = 0, .slice_size = 5, .count = 2, .weight = 5.0}});
   SimReport report;
-  Client client(s, 100, 2);
+  Client client = admitted(s, 100, 2);
   client.deliver(1, piece_of(s, 0, 7, 1), report, nullptr);
   client.play(2, report, nullptr);
   EXPECT_EQ(report.played.slices, 1);
@@ -112,7 +120,7 @@ TEST(Client, IncompleteSliceDoesNotPlay) {
 TEST(Client, UnboundedCapacityNeverOverflows) {
   const Stream s = stream_of({units(0, 1000000)});
   SimReport report;
-  Client client(s, Client::kUnbounded, 5);
+  Client client = admitted(s, Client::kUnbounded, 5);
   client.deliver(1, piece_of(s, 0, 1000000, 1000000), report, nullptr);
   EXPECT_EQ(client.occupancy(), 1000000);
   for (Time t = 1; t <= 5; ++t) client.play(t, report, nullptr);
@@ -122,7 +130,7 @@ TEST(Client, UnboundedCapacityNeverOverflows) {
 TEST(Client, MaxOccupancyTracked) {
   const Stream s = stream_of({units(0, 4), units(1, 4)});
   SimReport report;
-  Client client(s, 100, 3);
+  Client client = admitted(s, 100, 3);
   client.deliver(1, piece_of(s, 0, 4, 4), report, nullptr);
   client.play(1, report, nullptr);
   client.deliver(2, piece_of(s, 1, 4, 4), report, nullptr);
@@ -133,7 +141,7 @@ TEST(Client, MaxOccupancyTracked) {
 TEST(Client, ResidualWhenNeverPlayed) {
   const Stream s = stream_of({units(0, 6)});
   SimReport report;
-  Client client(s, 100, 10);
+  Client client = admitted(s, 100, 10);
   client.deliver(1, piece_of(s, 0, 6, 6), report, nullptr);
   client.finalize(report);  // playout never reached
   EXPECT_EQ(report.residual.bytes, 6);
@@ -144,7 +152,7 @@ TEST(Client, RecorderGetsPlayTimeAndReceiveTimes) {
   const Stream s = stream_of({units(0, 2)});
   SimReport report;
   ScheduleRecorder rec(s.run_count(), ScheduleRecorder::Level::RunsAndSteps);
-  Client client(s, 100, 2);
+  Client client = admitted(s, 100, 2);
   rec.begin_step(1);
   client.deliver(1, piece_of(s, 0, 2, 2), report, &rec);
   client.play(1, report, &rec);
@@ -160,7 +168,7 @@ using ClientDeathTest = ::testing::Test;
 TEST(ClientDeathTest, DoubleFinalizeAborts) {
   const Stream s = stream_of({units(0, 1)});
   SimReport report;
-  Client client(s, 10, 1);
+  Client client = admitted(s, 10, 1);
   client.finalize(report);
   EXPECT_DEATH(client.finalize(report), "precondition");
 }

@@ -1,7 +1,8 @@
 // Daemon subsystem tests (DESIGN.md Sect. 13): frame sources and the wire
 // format, ingest stall/retry/timeout handling, the SLO watchdog and
 // degradation ladder, the Sect. 3.3 plan classifier, the fault schedule
-// parser, and the Daemon's serving loop end to end — clean completion,
+// parser, the engine's abort-to-residual path, and the Daemon's serving
+// loop end to end — clean completion,
 // overload escalation with valid incident documents, and signal-driven
 // shutdown. The drain-and-replan differential suite lives in
 // test_reconfig.cpp.
@@ -304,6 +305,51 @@ DaemonOptions balanced_options(Bytes rate, Time delay) {
   opts.slo.enabled = false;
   opts.ladder.enabled = false;
   return opts;
+}
+
+// ------------------------------------------------------------ live engine
+
+TEST(LiveEngine, AbortMovesEverythingOwedToResidual) {
+  // R = 2, B = 8, P = 3, D = 4: a 12-byte frame sheds 2 bytes on arrival
+  // (Eq. (3)) and sends 2 per step. After four steps the first 2 sent bytes
+  // are stored at the client (frame 0 plays at step 7), 6 are on the link
+  // and 2 are still buffered at the server.
+  EngineConfig config;
+  config.rate = 2;
+  config.smoothing_delay = 4;
+  config.server_buffer = 8;
+  config.client_buffer = 8;
+  config.link_delay = 3;
+  LiveEngine engine(config);
+  const IngestFrame frame{.type = FrameType::I, .size = 12};
+  Bytes sent = 0;
+  Bytes delivered = 0;
+  for (Time t = 0; t < 4; ++t) {
+    const StepStats st =
+        t == 0 ? engine.step({&frame, 1}) : engine.step({});
+    sent += st.sent;
+    delivered += st.delivered;
+  }
+  const Bytes in_server = engine.server_occupancy();
+  const Bytes on_link = sent - delivered;
+  const Bytes in_client = engine.client_occupancy();
+  ASSERT_GT(in_server, 0);
+  ASSERT_GT(on_link, 0);
+  ASSERT_GT(in_client, 0);
+  ASSERT_GT(engine.report().dropped_server.bytes, 0);
+  EXPECT_FALSE(engine.quiescent());
+  EXPECT_EQ(engine.active_runs(), 1);
+
+  engine.abort_residual();
+  const SimReport& report = engine.report();
+  EXPECT_TRUE(report.conserves());
+  EXPECT_EQ(report.residual.bytes, in_server + on_link + in_client);
+  EXPECT_EQ(report.residual.slices, report.residual.bytes);  // unit slices
+  EXPECT_EQ(report.offered.bytes,
+            report.dropped_server.bytes + report.residual.bytes);
+  EXPECT_TRUE(engine.quiescent());
+  EXPECT_EQ(engine.active_runs(), 0);
+  EXPECT_EQ(engine.client_occupancy(), 0);
 }
 
 TEST(Daemon, ServesBoundedGeneratorCleanly) {

@@ -166,17 +166,5 @@ TEST(GenericAlgorithm, EarlyDropsAreAccountedToTheReport) {
   EXPECT_EQ(rec.run(1).dropped_server, 0);  // the dear slices survive
 }
 
-TEST(GenericAlgorithm, ResidualAccounting) {
-  const Stream s = stream_of({units(0, 6)});
-  SmoothingServer server(ServerConfig{.buffer = 8, .rate = 1},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
-  run_step(server, 0, s, cursor, report);  // sent 1, 5 remain
-  server.account_residual(report);
-  EXPECT_EQ(report.residual.bytes, 5);
-  EXPECT_EQ(report.residual.slices, 5);
-}
-
 }  // namespace
 }  // namespace rtsmooth

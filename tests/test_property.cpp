@@ -22,7 +22,10 @@
 
 #include "analysis/competitive.h"
 #include "core/planner.h"
+#include "daemon/live_engine.h"
 #include "differential.h"
+#include "faults/fault_links.h"
+#include "obs/flight_recorder.h"
 #include "offline/brute_force.h"
 #include "offline/pareto_dp.h"
 #include "offline/unit_optimal.h"
@@ -472,6 +475,162 @@ TEST(PropertyFuzz, SolversMatchBruteForceOnSmallInstances) {
       dump_reproducer("solver_mismatch", seed, stream,
                       offline_config(buffer, rate));
       return;
+    }
+  }
+}
+
+/// The live engine's link for one cell of the LiveEngine-vs-simulator
+/// matrix; each side builds its own instance, seeded alike.
+enum class FuzzLink { Fixed, Erasure, GilbertElliott };
+
+const char* fuzz_link_name(FuzzLink kind) {
+  switch (kind) {
+    case FuzzLink::Fixed:
+      return "fixed";
+    case FuzzLink::Erasure:
+      return "erasure";
+    case FuzzLink::GilbertElliott:
+      return "gilbert_elliott";
+  }
+  return "?";
+}
+
+std::unique_ptr<Link> make_fuzz_link(FuzzLink kind, Time delay, double loss,
+                                     std::uint64_t seed) {
+  switch (kind) {
+    case FuzzLink::Fixed:
+      return std::make_unique<FixedDelayLink>(delay);
+    case FuzzLink::Erasure:
+      return std::make_unique<faults::ErasureLink>(delay, loss, Rng(seed));
+    case FuzzLink::GilbertElliott:
+      return std::make_unique<faults::GilbertElliottLink>(
+          delay,
+          faults::GilbertElliottConfig{.p_good_to_bad = loss,
+                                       .p_bad_to_good = 0.5,
+                                       .loss_good = 0.0,
+                                       .loss_bad = 1.0},
+          Rng(seed));
+  }
+  return nullptr;
+}
+
+/// The daemon's LiveEngine is the batch pipeline's own server, link and
+/// client: fed the same random unit-slice frames (several per step, mixed
+/// types), it must match sim::simulate on every step record (except
+/// `stalled`, which the engine sets for degraded playouts and the simulator
+/// for rebuffering) and on the final report (except the invariant tallies;
+/// the engine runs no InvariantMonitor). Every round covers fixed, erasure
+/// and Gilbert-Elliott links with recovery on, tail-drop and greedy, and a
+/// client buffer of B and below B.
+TEST(PropertyFuzz, LiveEngineMatchesSimulator) {
+  const int rounds = prop_iters();
+  const trace::ValueModel values = trace::ValueModel::mpeg_default();
+  constexpr std::size_t kWindow = 4096;
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t seed = 0x11fe0e00 + static_cast<std::uint64_t>(round);
+    Rng rng(seed);
+    daemon::EngineConfig engine;
+    engine.rate = rng.uniform_int(1, 8);
+    engine.smoothing_delay = rng.uniform_int(1, 4);
+    engine.link_delay = rng.uniform_int(0, 3);
+    engine.server_buffer = engine.rate * engine.smoothing_delay;
+    engine.values = values;
+    engine.recovery.enabled = true;
+    engine.recovery.max_retries = static_cast<std::int32_t>(rng.uniform_int(1, 3));
+    engine.recovery.backoff_base = rng.uniform_int(1, 2);
+    const double loss = 0.1 + 0.1 * static_cast<double>(rng.uniform_int(0, 3));
+    const Bytes small_client = rng.uniform_int(1, engine.server_buffer);
+
+    // Frames per step, and the same frames as a batch stream: frame s of the
+    // schedule is run s, arriving at its step with the engine's weighting.
+    std::vector<std::vector<daemon::IngestFrame>> schedule(
+        static_cast<std::size_t>(rng.uniform_int(1, 30)));
+    std::vector<SliceRun> runs;
+    for (std::size_t t = 0; t < schedule.size(); ++t) {
+      const std::int64_t frames = rng.uniform_int(0, 3);
+      for (std::int64_t f = 0; f < frames; ++f) {
+        const daemon::IngestFrame frame{
+            .type = static_cast<FrameType>(rng.uniform_int(0, 3)),
+            .size = rng.uniform_int(1, 3 * engine.rate)};
+        schedule[t].push_back(frame);
+        runs.push_back(SliceRun{.arrival = static_cast<Time>(t),
+                                .slice_size = 1,
+                                .count = frame.size,
+                                .weight = values.byte_value(frame.type),
+                                .frame_type = frame.type,
+                                .frame_index =
+                                    static_cast<std::int64_t>(runs.size())});
+      }
+    }
+    const Stream stream = Stream::from_runs(std::move(runs));
+    engine.max_live_runs = std::max<std::size_t>(2, stream.run_count() + 1);
+
+    for (const FuzzLink link : {FuzzLink::Fixed, FuzzLink::Erasure,
+                                FuzzLink::GilbertElliott}) {
+      for (const char* policy : {"tail-drop", "greedy"}) {
+        for (const Bytes client_buffer : {engine.server_buffer, small_client}) {
+          daemon::EngineConfig cell = engine;
+          cell.policy = policy;
+          cell.client_buffer = client_buffer;
+          sim::SimConfig config;
+          config.server_buffer = cell.server_buffer;
+          config.client_buffer = cell.client_buffer;
+          config.rate = cell.rate;
+          config.smoothing_delay = cell.smoothing_delay;
+          config.link_delay = cell.link_delay;
+          config.recovery = cell.recovery;
+
+          obs::FlightRecorder batch_steps(
+              {.window = kWindow, .trigger_on_violation = false});
+          config.telemetry.recorder = &batch_steps;
+          const SimReport batch = sim::simulate(
+              stream, config, policy,
+              make_fuzz_link(link, cell.link_delay, loss, seed));
+          ASSERT_LE(batch.steps, static_cast<Time>(kWindow));
+
+          obs::FlightRecorder live_steps(
+              {.window = kWindow, .trigger_on_violation = false});
+          daemon::LiveEngine live(
+              cell, obs::Telemetry{.recorder = &live_steps},
+              make_fuzz_link(link, cell.link_delay, loss, seed));
+          for (Time t = 0; t < batch.steps; ++t) {
+            const auto at = static_cast<std::size_t>(t);
+            live.step(at < schedule.size()
+                          ? std::span<const daemon::IngestFrame>(schedule[at])
+                          : std::span<const daemon::IngestFrame>());
+          }
+
+          const std::string cell_name = std::string(fuzz_link_name(link)) +
+                                        "_" + sanitize(policy) +
+                                        (client_buffer < cell.server_buffer
+                                             ? "_small_client"
+                                             : "_balanced");
+          const std::vector<obs::StepRecord> want = batch_steps.window();
+          const std::vector<obs::StepRecord> got = live_steps.window();
+          bool ok = want.size() == got.size();
+          EXPECT_EQ(got.size(), want.size()) << cell_name;
+          for (std::size_t i = 0; ok && i < want.size(); ++i) {
+            obs::StepRecord step = got[i];
+            step.stalled = want[i].stalled;
+            ok = step == want[i];
+            EXPECT_TRUE(ok) << cell_name << " step " << i << ": engine "
+                            << got[i].to_json().dump() << " vs simulator "
+                            << want[i].to_json().dump();
+          }
+          SimReport live_report = live.report();
+          live_report.invariants = batch.invariants;
+          const bool reports_match = live_report == batch;
+          EXPECT_TRUE(reports_match)
+              << cell_name << ": engine {" << live_report
+              << ", max_lateness=" << live_report.max_lateness
+              << "} vs simulator {" << batch
+              << ", max_lateness=" << batch.max_lateness << "}";
+          if (!ok || !reports_match) {
+            dump_reproducer("live_engine_" + cell_name, seed, stream, config);
+            return;
+          }
+        }
+      }
     }
   }
 }

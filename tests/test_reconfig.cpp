@@ -86,6 +86,7 @@ void expect_reports_match(const SimReport& daemon, const SimReport& batch) {
   }
   EXPECT_EQ(daemon.retransmitted_bytes, batch.retransmitted_bytes);
   EXPECT_EQ(daemon.stall_steps, batch.stall_steps);
+  EXPECT_EQ(daemon.max_lateness, batch.max_lateness);
   EXPECT_EQ(daemon.max_server_occupancy, batch.max_server_occupancy);
   EXPECT_EQ(daemon.max_client_occupancy, batch.max_client_occupancy);
 }

@@ -116,6 +116,25 @@ TEST(Simulator, TooSmallDelayCausesDeadlineMisses) {
   EXPECT_GT(report.dropped_client_late.bytes, 0);
 }
 
+TEST(Simulator, LinkSlowerThanConfiguredSetsMaxLateness) {
+  // Tail-drop at R = B = 10, D = 1 and a configured P = 1, but the link
+  // takes 4 steps: every frame is sent on arrival and reaches the client 2
+  // steps after its playout step AT + P + D.
+  std::vector<SliceRun> runs;
+  for (Time f = 0; f < 20; ++f) runs.push_back(units(f, 10));
+  const Stream s = stream_of(std::move(runs));
+  const SimConfig config{.server_buffer = 10,
+                         .client_buffer = 10,
+                         .rate = 10,
+                         .smoothing_delay = 1,
+                         .link_delay = 1};
+  const SimReport report = sim::simulate(s, config, "tail-drop",
+                                         std::make_unique<FixedDelayLink>(4));
+  EXPECT_TRUE(report.conserves());
+  EXPECT_EQ(report.dropped_client_late.bytes, 200);
+  EXPECT_EQ(report.max_lateness, 2);
+}
+
 TEST(Simulator, GreedyBeatsTailDropOnWeightedClip) {
   // The headline experimental observation (Fig. 2): under pressure, Greedy's
   // weighted loss is at most Tail-Drop's.

@@ -101,7 +101,7 @@ def soak_doc():
                    "lost_link_bytes": 0, "residual_bytes": 0,
                    "retransmitted_bytes": 0, "stall_steps": 12,
                    "max_server_occupancy": 1024,
-                   "max_client_occupancy": 1024, "max_lateness": 0,
+                   "max_client_occupancy": 1024, "max_lateness": 3,
                    "weighted_loss": 0.03, "conserves": True},
         "registry": {"counters": {"daemon.steps": 60000}, "gauges": {},
                      "histograms": {}},
@@ -353,6 +353,27 @@ class CheckFileTest(unittest.TestCase):
         doc["report"]["max_lateness"] = -3
         errors = self.check(doc)
         self.assertTrue(any("max_lateness" in e for e in errors))
+
+    def test_soak_late_bytes_need_positive_max_lateness(self):
+        doc = soak_doc()
+        doc["report"]["max_lateness"] = 0
+        errors = self.check(doc)
+        self.assertTrue(any("late bytes but max_lateness 0" in e
+                            for e in errors))
+
+    def test_soak_max_lateness_needs_late_bytes(self):
+        doc = soak_doc()
+        doc["report"]["dropped_client_late_bytes"] = 0
+        doc["report"]["played_bytes"] += 10000
+        errors = self.check(doc)
+        self.assertTrue(any("no byte was late" in e for e in errors))
+
+    def test_soak_live_doc_may_see_lateness_before_late_bytes(self):
+        doc = soak_doc()
+        doc["report"]["dropped_client_late_bytes"] = 0
+        doc["report"]["conserves"] = False
+        doc["stop_signal"] = 0
+        self.assertEqual(self.check(doc), [])
 
     def test_valid_series_doc(self):
         self.assertEqual(self.check(series_doc()), [])

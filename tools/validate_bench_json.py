@@ -591,6 +591,20 @@ def check_soak(errors, doc):
                 and (not isinstance(late, int) or late < 0):
             errors.append(f"report max_lateness must be a non-negative "
                           f"int, got {late!r}")
+        # Daemon frames are unit slices, so every late byte was delivered
+        # after its playout step: late bytes imply a positive lateness, and
+        # a positive lateness implies late bytes once their runs have
+        # retired — in a live document a late byte's run may still owe
+        # bytes, so that direction waits for a conserving report.
+        late_bytes = report.get("dropped_client_late_bytes")
+        if isinstance(late, int) and isinstance(late_bytes, int):
+            if late_bytes > 0 and late <= 0:
+                errors.append(f"report has {late_bytes} late bytes but "
+                              f"max_lateness {late}")
+            if late > 0 and late_bytes == 0 \
+                    and report.get("conserves") is True:
+                errors.append(f"report max_lateness is {late} but no "
+                              f"byte was late")
     if "stats" in doc:
         check_stats_section(errors, doc["stats"])
     if "series" in doc:
