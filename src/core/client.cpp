@@ -73,7 +73,6 @@ void Client::deliver(Time t, std::span<const SentPiece> pieces,
       rs.late_lost += piece.bytes;
       total_late_ += piece.bytes;
       if (late_bytes_ != nullptr) late_bytes_->add(piece.bytes);
-      if (rec != nullptr) rec->step().dropped_client += piece.bytes;
       maybe_retire(rs, report);
       continue;
     }
@@ -86,7 +85,7 @@ void Client::deliver(Time t, std::span<const SentPiece> pieces,
 
 void Client::play(Time t, SimReport& report, ScheduleRecorder* rec) {
   play_frame(t, report, rec);
-  settle_capacity(rec);
+  settle_capacity();
   report.max_client_occupancy =
       std::max(report.max_client_occupancy, occupancy_);
   if (occupancy_hist_ != nullptr) {
@@ -165,8 +164,6 @@ void Client::play_frame(Time t, SimReport& report, ScheduleRecorder* rec) {
     if (rec != nullptr) {
       rec->run(i).played = complete;
       if (complete > 0) rec->run(i).play_time = t;
-      rec->step().played += played_bytes;
-      rec->step().dropped_client += leftover;
     }
     maybe_retire(rs, report);
   }
@@ -208,7 +205,7 @@ void Client::record_idle_steps(std::int64_t n) {
   max_occupancy_->update(0);
 }
 
-void Client::settle_capacity(ScheduleRecorder* rec) {
+void Client::settle_capacity() {
   // Evict the newest delivered bytes until the post-playout occupancy fits.
   // Only this step's arrivals can be in excess: the previous step ended
   // within capacity.
@@ -229,7 +226,6 @@ void Client::settle_capacity(ScheduleRecorder* rec) {
     if (overflow_bytes_ != nullptr) overflow_bytes_->add(evict);
     occupancy_ -= evict;
     bytes -= evict;
-    if (rec != nullptr) rec->step().dropped_client += evict;
     if (bytes == 0) arrived_this_step_.pop_back();
   }
   RTS_ASSERT(occupancy_ <= capacity_);

@@ -1,6 +1,7 @@
 // The client: reconstruction buffer, real-time playout and the per-run byte
-// ledger (paper Sect. 3.1.2) — the one client both the batch simulator and
-// the live engine (src/daemon/) run.
+// ledger (paper Sect. 3.1.2) — the last stage of the shared step
+// (core/pipeline.h) that both the batch simulator and the live engine
+// (src/daemon/) run.
 //
 // Playout rule: frame t plays at t + P + D (the timer-based description in
 // the paper — wait D after the first arrival, then one frame per step — is
@@ -26,14 +27,15 @@
 // client sizes the table to the stream and never wraps; a live engine sizes
 // it to its in-flight bound and recycles slots, admitting run i only once
 // run i - run_slots has retired (can_admit()). Every byte of a run ends in
-// one terminal state — played, dropped at the server (add_server_drop(),
-// fed by the server's drop sink), refused on overflow, delivered late, left
-// in an incomplete slice at playout, or erased in flight and written off
-// (add_link_loss()). On the step a played-out run's last byte becomes
-// terminal the run retires: its losses enter the SimReport with whole-slice
-// counts and its slot frees. finalize() settles the runs that never retired
-// the same way and books everything they still owe — client-stored, server-
-// buffered, on the link, queued for retransmission — as residual.
+// one terminal state — played, dropped at the server (add_server_drop()),
+// refused on overflow, delivered late, left in an incomplete slice at
+// playout, or erased in flight and written off (add_link_loss()). The
+// server books its drops and write-offs into this ledger as they happen.
+// On the step a played-out run's last byte becomes terminal the run
+// retires: its losses enter the SimReport with whole-slice counts and its
+// slot frees. finalize() settles the runs that never retired the same way
+// and books everything they still owe — client-stored, server-buffered, on
+// the link, queued for retransmission — as residual.
 
 #pragma once
 
@@ -135,14 +137,14 @@ class Client {
   void play(Time t, SimReport& report, ScheduleRecorder* rec);
 
   /// Records `slices` whole slices of run `run_index` dropped at the server
-  /// (the server's drop sink). The server tallies them in the report; the
-  /// client only settles the run's ledger.
+  /// (booked by the server as it drops them). The server tallies them in
+  /// the report; the client only settles the run's ledger.
   void add_server_drop(std::size_t run_index, std::int64_t slices,
                        SimReport& report);
 
   /// Records bytes of run `run_index` that were erased in flight and written
-  /// off by the server's recovery path (the server's link-loss sink) — they
-  /// will never be delivered.
+  /// off by the server's recovery path (booked by the server) — they will
+  /// never be delivered.
   void add_link_loss(std::size_t run_index, Bytes bytes, SimReport& report);
 
   /// Settles every run that has not retired: classifies its terminal bytes
@@ -233,7 +235,7 @@ class Client {
     return *runs_[slot_of(run_index)].run;
   }
   void play_frame(Time t, SimReport& report, ScheduleRecorder* rec);
-  void settle_capacity(ScheduleRecorder* rec);
+  void settle_capacity();
   /// Retires `rs` once it is played out and every byte is terminal.
   void maybe_retire(RunState& rs, SimReport& report);
   /// Books the run's losses (and what it still owes, as residual) into

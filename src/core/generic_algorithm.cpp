@@ -21,7 +21,7 @@ SmoothingServer::SmoothingServer(ServerConfig config,
   RTS_EXPECTS(policy_ != nullptr);
   buffer_.set_drop_observer([this](const SliceRun& run, std::size_t run_index,
                                    std::int64_t slices) {
-    account_drop(run, run_index, slices, now_);
+    account_drop(run, run_index, slices);
   });
   // Capacity formulas (DESIGN.md Sect. 12). Chunks hold >= 1 byte each and
   // same-run pushes merge, so B + one frame's worth of pre-shed overshoot
@@ -38,16 +38,15 @@ SmoothingServer::SmoothingServer(ServerConfig config,
 }
 
 void SmoothingServer::account_drop(const SliceRun& run, std::size_t run_index,
-                                   std::int64_t slices, Time /*t*/) {
+                                   std::int64_t slices) {
   RTS_ASSERT(current_report_ != nullptr);
   const Bytes bytes = run.slice_size * slices;
   const Weight weight = run.weight * static_cast<Weight>(slices);
   current_report_->dropped_server.add(bytes, weight, slices);
   if (current_rec_ != nullptr) {
     current_rec_->run(run_index).dropped_server += slices;
-    current_rec_->step().dropped_server += bytes;
   }
-  if (drop_sink_) drop_sink_(run, run_index, slices);
+  current_client_->add_server_drop(run_index, slices, *current_report_);
 }
 
 void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
@@ -68,7 +67,8 @@ void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
 
 void SmoothingServer::write_off(const SentPiece& piece) {
   if (written_off_bytes_ != nullptr) written_off_bytes_->add(piece.bytes);
-  if (loss_sink_) loss_sink_(*piece.run, piece.run_index, piece.bytes);
+  current_client_->add_link_loss(piece.run_index, piece.bytes,
+                                 *current_report_);
 }
 
 void SmoothingServer::handle_nack(const Nack& nack, Time t) {
@@ -112,19 +112,19 @@ Bytes SmoothingServer::send_retransmissions(Time t, Bytes budget,
     if (entry.piece.bytes > budget - sent) break;
     sent += entry.piece.bytes;
     out.push_back(entry.piece);
-    if (current_report_ != nullptr) {
-      current_report_->retransmitted_bytes += entry.piece.bytes;
-    }
+    current_report_->retransmitted_bytes += entry.piece.bytes;
     retx_queue_.erase(i);
   }
   return sent;
 }
 
 void SmoothingServer::begin_step(Time t, std::span<const Nack> nacks,
-                                 SimReport& report, ScheduleRecorder* rec) {
+                                 SimReport& report, Client& client,
+                                 ScheduleRecorder* rec) {
   RTS_EXPECTS(current_report_ == nullptr);
   now_ = t;
   current_report_ = &report;
+  current_client_ = &client;
   current_rec_ = rec;
   step_nacks_ = static_cast<std::int64_t>(nacks.size());
 
@@ -142,9 +142,6 @@ void SmoothingServer::admit(const SliceRun& run, std::size_t run_index) {
                                run.count);
   current_report_->offered_by_type[type_index(run.frame_type)].add(
       run.total_bytes(), run.total_weight(), run.count);
-  if (current_rec_ != nullptr) {
-    current_rec_->step().arrived += run.total_bytes();
-  }
 }
 
 void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
@@ -186,7 +183,6 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
     for (std::size_t i = out_start; i < out.size(); ++i) {
       current_rec_->note_send(out[i].run_index, t, out[i].bytes);
     }
-    current_rec_->step().server_occupancy = buffer_.occupancy();
   }
   RTS_ENSURES(buffer_.occupancy() <= config_.buffer);
   if (occupancy_hist_ != nullptr) {
@@ -200,32 +196,16 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
   }
 
   current_report_ = nullptr;
+  current_client_ = nullptr;
   current_rec_ = nullptr;
 }
 
-void SmoothingServer::step_into(Time t, const ArrivalBatch& arrivals,
-                                std::span<const Nack> nacks, SimReport& report,
-                                ScheduleRecorder* rec,
-                                std::vector<SentPiece>& out) {
-  begin_step(t, nacks, report, rec);
-  for (std::size_t i = 0; i < arrivals.runs.size(); ++i) {
-    admit(arrivals.runs[i], arrivals.first_index + i);
-  }
-  finish_step(out);
-}
-
-DropResult SmoothingServer::shed_below_value(double floor,
-                                             SimReport& report) {
+DropResult SmoothingServer::shed_below_value(double floor) {
   RTS_EXPECTS(floor >= 0.0);
-  // Drops route through the buffer's drop observer, which accounts into
-  // current_report_ — bind it for the duration when called between steps.
-  const bool in_step = current_report_ != nullptr;
-  RTS_EXPECTS(!in_step || current_report_ == &report);
-  if (!in_step) current_report_ = &report;
-  const DropResult dropped =
-      buffer_.empty() ? DropResult{} : shed::greedy_shed(buffer_, 0, floor);
-  if (!in_step) current_report_ = nullptr;
-  return dropped;
+  // Drops route through the buffer's drop observer, which books them into
+  // the step's report and client ledger.
+  RTS_EXPECTS(current_report_ != nullptr);
+  return buffer_.empty() ? DropResult{} : shed::greedy_shed(buffer_, 0, floor);
 }
 
 }  // namespace rtsmooth

@@ -8,25 +8,26 @@
 // bring post-send occupancy back to B. *Which* slices are dropped is
 // delegated to a DropPolicy (the paper's intentional under-specification);
 // with unit slices the count dropped is exactly Eq. (3) regardless of
-// policy, which is what makes Theorem 3.5 policy-independent.
+// policy, which is what makes Theorem 3.5 policy-independent. The server
+// is the first stage of the shared step (core/pipeline.h).
 
 // Recovery extension (not in the paper; see DESIGN.md "Fault model &
 // recovery semantics"): on a lossy link, erased pieces come back as NACKs.
 // A NACKed piece is retransmitted — with exponential backoff in slots and a
 // bounded retry budget — only while the copy can still arrive by its playout
 // deadline AT + P + D, i.e. while the retransmission step is <= AT + D.
-// Anything else is written off and surfaced to the accounting sink, so the
+// Anything else is written off into the client's per-run ledger, so the
 // report's conservation invariant keeps holding byte-for-byte under faults.
 // Retransmissions take priority over fresh data inside the same link rate R,
 // so recovery degrades throughput instead of violating Eq. (2).
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "core/client.h"
 #include "core/drop_policy.h"
 #include "core/link.h"
 #include "core/metrics.h"
@@ -66,56 +67,31 @@ class SmoothingServer {
  public:
   SmoothingServer(ServerConfig config, std::unique_ptr<DropPolicy> policy);
 
-  /// Executes one step: NACK triage, (early drops,) arrivals, retransmit
-  /// due pieces, Eq. (3) drops, Eq. (2) send with the remaining rate. Drop
-  /// and arrival tallies are accumulated into `report`; per-run outcomes
-  /// into `rec` if given. The pieces submitted to the link are appended to
-  /// `out` — the allocation-free entry point: callers that recycle `out`'s
-  /// storage across steps (the simulator does) pay no heap traffic here.
-  void step_into(Time t, const ArrivalBatch& arrivals,
-                 std::span<const Nack> nacks, SimReport& report,
-                 ScheduleRecorder* rec, std::vector<SentPiece>& out);
-
-  /// Convenience wrapper returning a fresh vector per call.
-  std::vector<SentPiece> step(Time t, const ArrivalBatch& arrivals,
-                              std::span<const Nack> nacks, SimReport& report,
-                              ScheduleRecorder* rec) {
-    std::vector<SentPiece> out;
-    step_into(t, arrivals, nacks, report, rec, out);
-    return out;
-  }
-
-  /// Lossless-link convenience: step with no NACKs.
-  std::vector<SentPiece> step(Time t, const ArrivalBatch& arrivals,
-                              SimReport& report, ScheduleRecorder* rec) {
-    return step(t, arrivals, {}, report, rec);
-  }
-
-  /// Phase-split step interface, for live callers (src/daemon/) whose
-  /// arrivals are not a contiguous ArrivalBatch span: a serving loop admits
-  /// runs out of a recycling slot arena, so run identities are arbitrary
-  /// per-step indices, not `first_index + i`. Per step, call begin_step()
-  /// once, admit() zero or more times, then finish_step() once —
-  /// step_into() is exactly that composition, so the phases share every
-  /// invariant (event order, accounting, allocation-freedom) with the batch
-  /// entry point.
+  /// A step is begin_step(), admit() per arrival, then finish_step();
+  /// core/pipeline.h is the one caller.
+  ///
+  /// Opens step t: NACK triage, then pro-active (early) drops on the
+  /// pre-arrival state. Drop and arrival tallies accumulate into `report`.
+  /// Every server drop and link write-off is booked into `client`'s per-run
+  /// ledger, which decides when a run retires; per-run outcomes go to `rec`
+  /// if given.
   void begin_step(Time t, std::span<const Nack> nacks, SimReport& report,
-                  ScheduleRecorder* rec);
+                  Client& client, ScheduleRecorder* rec);
   /// Pushes `run.count` slices of `run` into the buffer under identity
   /// `run_index` and tallies them as offered. Only valid between
-  /// begin_step() and finish_step().
+  /// begin_step() and finish_step(), after the client admitted the run.
   void admit(const SliceRun& run, std::size_t run_index);
   /// Retransmits due pieces, sheds per Eq. (3), and sends per Eq. (2);
-  /// submitted pieces are appended to `out`.
+  /// submitted pieces are appended to `out`, which callers recycle across
+  /// steps so the step allocates nothing.
   void finish_step(std::vector<SentPiece>& out);
 
   /// Degradation hook (the daemon's overload ladder, DESIGN.md Sect. 13):
   /// drops every droppable slice whose byte value is <= `floor`, using the
-  /// same greedy-shed template the value-aware policies use, and accounts
-  /// the drops into `report`. Callable between begin_step() and
-  /// finish_step() (then `report` must be the step's bound report) or
-  /// between whole steps. Returns what was dropped.
-  DropResult shed_below_value(double floor, SimReport& report);
+  /// same greedy-shed template the value-aware policies use, and books the
+  /// drops like any other server drop. Only valid between begin_step() and
+  /// finish_step(). Returns what was dropped.
+  DropResult shed_below_value(double floor);
 
   const ServerBuffer& buffer() const { return buffer_; }
   const ServerConfig& config() const { return config_; }
@@ -134,23 +110,6 @@ class SmoothingServer {
     max_occupancy_->update(0);
   }
 
-  /// Invoked with every piece written off as link loss (NACKed but not
-  /// recoverable: retries exhausted, or the deadline cannot be met). The
-  /// simulator and the live engine wire this to Client::add_link_loss so
-  /// lost bytes stay in the conservation ledger.
-  using LinkLossSink = std::function<void(const SliceRun& run,
-                                          std::size_t run_index, Bytes bytes)>;
-  void set_link_loss_sink(LinkLossSink sink) { loss_sink_ = std::move(sink); }
-
-  /// Invoked with every server-side drop (Eq. (3) sheds, early drops, value-
-  /// floor sheds) after it has been tallied. The simulator and the live
-  /// engine wire this to Client::add_server_drop, whose per-run ledger
-  /// decides when a run retires; null by default.
-  using DropSink = std::function<void(const SliceRun& run,
-                                      std::size_t run_index,
-                                      std::int64_t slices)>;
-  void set_drop_sink(DropSink sink) { drop_sink_ = std::move(sink); }
-
   /// Installs the telemetry handle (null by default: no cost). The server
   /// records per-step occupancy, send/retransmit/write-off counters, and a
   /// "policy.drop" Span around each Eq. (3) shed. Instruments are resolved
@@ -165,7 +124,7 @@ class SmoothingServer {
   };
 
   void account_drop(const SliceRun& run, std::size_t run_index,
-                    std::int64_t slices, Time t);
+                    std::int64_t slices);
   void write_off(const SentPiece& piece);
   void handle_nack(const Nack& nack, Time t);
   /// Sends due retransmissions (FIFO, whole pieces) within `budget` bytes;
@@ -179,8 +138,6 @@ class SmoothingServer {
   /// Ring sized from the retry budget at construction (DESIGN.md Sect. 12);
   /// grows only if a run exceeds the estimate, never in steady state.
   RingBuffer<RetxEntry> retx_queue_;
-  LinkLossSink loss_sink_;
-  DropSink drop_sink_;
   obs::Telemetry telemetry_;
   // Instruments resolved by set_telemetry(); null while telemetry is off.
   obs::Counter* sent_bytes_ = nullptr;
@@ -190,7 +147,9 @@ class SmoothingServer {
   obs::Counter* written_off_bytes_ = nullptr;
   obs::Histogram* occupancy_hist_ = nullptr;
   obs::Gauge* max_occupancy_ = nullptr;
+  // Bound by begin_step() for the duration of one step.
   SimReport* current_report_ = nullptr;
+  Client* current_client_ = nullptr;
   ScheduleRecorder* current_rec_ = nullptr;
   Time now_ = 0;
   std::int64_t step_nacks_ = 0;  ///< NACKs seen this step, for telemetry

@@ -6,22 +6,6 @@
 
 namespace rtsmooth {
 
-void ScheduleRecorder::begin_step(Time t) {
-  if (level_ == Level::RunsAndSteps) {
-    steps_.push_back(StepSets{.t = t});
-  } else {
-    scratch_ = StepSets{.t = t};
-  }
-}
-
-StepSets& ScheduleRecorder::step() {
-  if (level_ == Level::RunsAndSteps) {
-    RTS_EXPECTS(!steps_.empty());
-    return steps_.back();
-  }
-  return scratch_;
-}
-
 RunOutcome& ScheduleRecorder::run(std::size_t run_index) {
   RTS_EXPECTS(run_index < runs_.size());
   return runs_[run_index];
@@ -37,7 +21,6 @@ void ScheduleRecorder::note_send(std::size_t run_index, Time t, Bytes bytes) {
   RunOutcome& out = run(run_index);
   if (out.first_send == kNever) out.first_send = t;
   out.last_send = (out.last_send == kNever) ? t : std::max(out.last_send, t);
-  step().sent += bytes;
 }
 
 void ScheduleRecorder::note_receive(std::size_t run_index, Time t,
@@ -47,7 +30,6 @@ void ScheduleRecorder::note_receive(std::size_t run_index, Time t,
   if (out.first_receive == kNever) out.first_receive = t;
   out.last_receive =
       (out.last_receive == kNever) ? t : std::max(out.last_receive, t);
-  step().delivered += bytes;
 }
 
 }  // namespace rtsmooth

@@ -2,6 +2,11 @@
 // D(t) and per-slice event times (Definitions 2.2-2.3), recorded at slice-run
 // granularity.
 //
+// The per-step sets are the shared step's own record (core/pipeline.h):
+// StepSets is obs::StepRecord under the paper's name, so the recorder, the
+// JSONL tracer and the flight recorder all keep the same record of a step.
+// The per-run outcomes come from the server and client as events happen.
+//
 // Tests use the recorder to check the timing lemmas directly: Lemma 3.2
 // (every transmitted byte leaves the server within B/R of arrival),
 // Lemma 3.3 (t+P <= RT <= t+P+B/R) and the real-time property PT = AT+P+D.
@@ -12,23 +17,15 @@
 
 #include "core/slice.h"
 #include "core/types.h"
+#include "obs/flight_recorder.h"
 
 namespace rtsmooth {
 
-/// Sizes of the paper's per-step sets, in bytes.
-struct StepSets {
-  Time t = 0;
-  Bytes arrived = 0;         ///< |A(t)|
-  Bytes sent = 0;            ///< |S(t)|
-  Bytes delivered = 0;       ///< |R(t)|
-  Bytes played = 0;          ///< |P(t)|
-  Bytes dropped_server = 0;  ///< |D(t)| at the server
-  Bytes dropped_client = 0;  ///< client-side drops (overflow + late)
-  Bytes server_occupancy = 0;  ///< |Bs(t)| after the step
-  Bytes client_occupancy = 0;  ///< |Bc(t)| after the step
-
-  bool operator==(const StepSets&) const = default;
-};
+/// Sizes of the paper's per-step sets, in bytes: |A(t)| (`arrived`), |S(t)|
+/// (`sent`), |R(t)| (`delivered`), |P(t)| (`played`), |D(t)| at the server
+/// (`dropped_server`), client-side drops (`dropped_client`: late, overflow
+/// and incomplete slices), and |Bs(t)|, |Bc(t)| after the step.
+using StepSets = obs::StepRecord;
 
 /// Outcome of one slice run: how its `count` slices were dispositioned and
 /// the first/last times of each event kind.
@@ -58,8 +55,10 @@ class ScheduleRecorder {
 
   Level level() const { return level_; }
 
-  void begin_step(Time t);
-  StepSets& step();  ///< the StepSets under construction (RunsAndSteps only)
+  /// Keeps one step's sets (RunsAndSteps only; ignored at RunsOnly).
+  void record_step(const StepSets& step) {
+    if (level_ == Level::RunsAndSteps) steps_.push_back(step);
+  }
 
   RunOutcome& run(std::size_t run_index);
   const RunOutcome& run(std::size_t run_index) const;
@@ -75,7 +74,6 @@ class ScheduleRecorder {
   Level level_;
   std::vector<RunOutcome> runs_;
   std::vector<StepSets> steps_;
-  StepSets scratch_;  ///< used when steps are not being kept
 };
 
 }  // namespace rtsmooth

@@ -10,20 +10,6 @@
 namespace rtsmooth::daemon {
 namespace {
 
-ServerConfig server_config(const EngineConfig& config) {
-  ServerConfig sc{.buffer = config.server_buffer,
-                  .rate = config.rate,
-                  .recovery = config.recovery};
-  sc.recovery.smoothing_delay = config.smoothing_delay;
-  return sc;
-}
-
-Bytes piece_bytes(std::span<const SentPiece> pieces) {
-  Bytes sum = 0;
-  for (const SentPiece& piece : pieces) sum += piece.bytes;
-  return sum;
-}
-
 /// Aborts on an invalid config before any member sized from it is built.
 EngineConfig validated(EngineConfig config) {
   RTS_EXPECTS(config.validate().empty());
@@ -55,27 +41,20 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
                        std::unique_ptr<Link> link)
     : config_(validated(std::move(config))),
       telemetry_(telemetry),
-      server_(server_config(config_),
-              make_policy(config_.policy, config_.policy_seed)),
-      link_(link ? std::move(link)
-                 : std::make_unique<FixedDelayLink>(config_.link_delay)),
-      client_(config_.max_live_runs, config_.client_buffer,
-              config_.playout_offset()),
+      pipeline_(server_config(config_),
+                make_policy(config_.policy, config_.policy_seed),
+                link ? std::move(link)
+                     : std::make_unique<FixedDelayLink>(config_.link_delay),
+                Client(config_.max_live_runs, config_.client_buffer,
+                       config_.playout_offset())),
       runs_(config_.max_live_runs) {
-  server_.set_link_loss_sink([this](const SliceRun& /*run*/,
-                                    std::size_t run_index, Bytes bytes) {
-    client_.add_link_loss(run_index, bytes, report_);
-  });
-  server_.set_drop_sink([this](const SliceRun& /*run*/, std::size_t run_index,
-                               std::int64_t slices) {
-    client_.add_server_drop(run_index, slices, report_);
-  });
   if (telemetry_.enabled()) {
-    server_.set_telemetry(telemetry_);
-    link_->set_telemetry(telemetry_);
+    pipeline_.server().set_telemetry(telemetry_);
+    pipeline_.link().set_telemetry(telemetry_);
   }
   // The client carries no telemetry of its own here: step() fills the
-  // daemon's client metrics from the step's deltas.
+  // daemon's client metrics from the step's record and the client's
+  // running totals.
   if (telemetry_.registry != nullptr) {
     obs::Registry& reg = *telemetry_.registry;
     played_bytes_ = &reg.counter("client.played_bytes");
@@ -93,7 +72,7 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
 
 void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
   RTS_EXPECTS(frame.size >= 1);
-  if (!client_.can_admit(next_seq_)) {
+  if (!pipeline_.client().can_admit(next_seq_)) {
     // The pipeline still owes bytes from max_live_runs frames ago:
     // backpressure instead of unbounded state.
     st.refused += frame.size;
@@ -111,9 +90,7 @@ void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
                  .weight = config_.values.byte_value(frame.type),
                  .frame_type = frame.type,
                  .frame_index = static_cast<std::int64_t>(seq)};
-  client_.admit(run, seq);
-  server_.admit(run, seq);
-  st.arrived += frame.size;
+  pipeline_.admit(run, seq);
   st.admitted += 1;
   st.offered_weight += run.total_weight();
 }
@@ -122,56 +99,35 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
                            double value_floor) {
   RTS_EXPECTS(!aborted_);
   const Time t = now_;
+  const Client& client = pipeline_.client();
   StepStats st;
-  const Bytes played_before = report_.played.bytes;
-  const Bytes dropped_server_before = report_.dropped_server.bytes;
-  const Bytes retx_before = report_.retransmitted_bytes;
-  const Bytes late_before = client_.late_bytes_so_far();
-  const Bytes overflow_before = client_.overflow_bytes_so_far();
-  const Bytes client_dropped_before = client_.dropped_bytes_so_far();
-  const std::int64_t playouts_before = client_.playouts();
-  const std::int64_t degraded_before = client_.degraded_playouts();
-  const std::int64_t live_before = client_.live_runs();
-  const double lost_weight_before = lost_weight_so_far(report_);
+  const Bytes late_before = client.late_bytes_so_far();
+  const Bytes overflow_before = client.overflow_bytes_so_far();
+  const std::int64_t playouts_before = client.playouts();
+  const std::int64_t degraded_before = client.degraded_playouts();
+  const std::int64_t live_before = client.live_runs();
+  const double lost_weight_before = lost_weight_so_far(report());
 
-  const auto nacks = link_->collect_nacks(t);
-  server_.begin_step(t, nacks, report_, nullptr);
+  pipeline_.begin(t);
   for (const IngestFrame& frame : frames) admit_frame(frame, st);
-  if (value_floor > 0.0 && server_.buffer().occupancy() > 0) {
-    st.floor_shed = server_.shed_below_value(value_floor, report_).bytes;
+  if (value_floor > 0.0 && server_occupancy() > 0) {
+    st.floor_shed = pipeline_.server().shed_below_value(value_floor).bytes;
   }
-  pieces_.clear();
-  server_.finish_step(pieces_);
-  st.sent = piece_bytes(pieces_);
-  // An empty send is not submitted: moving an empty vector into the link
-  // would surrender the recycled storage (same idiom as the simulator).
-  if (!pieces_.empty()) link_->submit(t, std::move(pieces_));
-  auto delivered = link_->deliver(t);
-  st.delivered = piece_bytes(delivered);
-  client_.deliver(t, delivered, report_, nullptr);
-  client_.play(t, report_, nullptr);
-
-  st.played = report_.played.bytes - played_before;
-  st.dropped_server = report_.dropped_server.bytes - dropped_server_before;
-  st.dropped_client = client_.dropped_bytes_so_far() - client_dropped_before;
-  st.retransmitted = report_.retransmitted_bytes - retx_before;
-  st.lost_weight = lost_weight_so_far(report_) - lost_weight_before;
-  st.playouts = client_.playouts() - playouts_before;
-  st.degraded = client_.degraded_playouts() - degraded_before;
-  st.server_occupancy = server_.buffer().occupancy();
-  st.client_occupancy = client_.occupancy();
-  st.link_idle = link_->idle();
+  st.record = pipeline_.finish();
+  st.lost_weight = lost_weight_so_far(report()) - lost_weight_before;
+  st.playouts = client.playouts() - playouts_before;
+  st.degraded = client.degraded_playouts() - degraded_before;
 
   if (telemetry_.registry != nullptr) {
-    played_bytes_->add(st.played);
-    late_bytes_->add(client_.late_bytes_so_far() - late_before);
-    overflow_bytes_->add(client_.overflow_bytes_so_far() - overflow_before);
-    retired_runs_->add(st.admitted - (client_.live_runs() - live_before));
-    max_client_occupancy_->update(st.client_occupancy);
+    played_bytes_->add(st.record.played);
+    late_bytes_->add(client.late_bytes_so_far() - late_before);
+    overflow_bytes_->add(client.overflow_bytes_so_far() - overflow_before);
+    retired_runs_->add(st.admitted - (client.live_runs() - live_before));
+    max_client_occupancy_->update(st.record.client_occupancy);
     // Unit slices under a fixed offset: a delivered byte is late exactly
     // when its playout step has passed.
-    for (const SentPiece& piece : delivered) {
-      const Time slack = client_.playout_step(piece.run->arrival) - t;
+    for (const SentPiece& piece : pipeline_.delivered()) {
+      const Time slack = client.playout_step(piece.run->arrival) - t;
       if (slack >= 0) {
         hist_slack_->record(slack, piece.bytes);
       } else {
@@ -182,32 +138,20 @@ StepStats LiveEngine::step(std::span<const IngestFrame> frames,
   }
 
   if (telemetry_.recorder != nullptr) {
-    obs::StepRecord record;
-    record.t = record_base_ + t;
-    record.arrived = st.arrived;
-    record.sent = st.sent;
-    record.delivered = st.delivered;
-    record.played = st.played;
-    record.dropped_server = st.dropped_server;
-    record.dropped_client = st.dropped_client;
-    record.retransmitted = st.retransmitted;
-    record.server_occupancy = st.server_occupancy;
-    record.client_occupancy = st.client_occupancy;
-    record.link_idle = st.link_idle;
-    record.stalled = st.degraded > 0;
+    obs::StepRecord record = st.record;
+    record.t += record_base_;
     telemetry_.recorder->record(record);
   }
 
-  if (pieces_.capacity() < delivered.capacity()) pieces_ = std::move(delivered);
   ++now_;
-  report_.steps = now_;
+  pipeline_.report().steps = now_;
   return st;
 }
 
 void LiveEngine::abort_residual() {
   RTS_EXPECTS(!aborted_);
   aborted_ = true;
-  client_.finalize(report_);
+  pipeline_.finalize();
 }
 
 }  // namespace rtsmooth::daemon

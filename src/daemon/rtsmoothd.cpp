@@ -508,7 +508,7 @@ void Daemon::apply_admission_budget() {
 }
 
 void Daemon::observe(const StepStats& stats) {
-  admitted_bytes_ += stats.arrived;
+  admitted_bytes_ += stats.record.arrived;
   admitted_frames_ += stats.admitted;
   slot_refused_bytes_ += stats.refused;
   slot_refused_frames_ += stats.refused_frames;

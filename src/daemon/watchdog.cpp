@@ -114,7 +114,8 @@ Watchdog::Pressure Watchdog::observe(Time t, const StepStats& stats) {
   // Clamp: a retirement burst can momentarily release more loss weight than
   // this window offered; rates stay in [0, +) either way.
   slot.lost_weight = stats.lost_weight > 0.0 ? stats.lost_weight : 0.0;
-  slot.occupancy_high = stats.server_occupancy > occupancy_line_ ? 1 : 0;
+  slot.occupancy_high =
+      stats.record.server_occupancy > occupancy_line_ ? 1 : 0;
   playouts_ += slot.playouts;
   degraded_ += slot.degraded;
   offered_weight_ += slot.offered_weight;

@@ -33,10 +33,13 @@
 
 namespace rtsmooth::obs {
 
-/// One step of flight data. All byte quantities are this step's deltas
+/// One step of flight data — the record every step of the shared pipeline
+/// returns (core/pipeline.h). All byte quantities are this step's deltas
 /// except the two occupancies, which are post-step state; `dropped_server`
-/// is the step's active drop decision (Eq. (3) sheds plus deadline
-/// write-offs), `link_idle` is the channel state after delivery.
+/// is the step's active drop decision (Eq. (3) sheds, early drops and
+/// value-floor sheds), `link_idle` is the channel state after delivery, and
+/// `stalled` means the client rebuffered this step (UnderflowPolicy::Stall
+/// only; a degraded playout under Skip is not a stall).
 struct StepRecord {
   std::int64_t t = 0;
   std::int64_t arrived = 0;

@@ -23,12 +23,6 @@ const Stream& validated(const Stream& stream, const SimConfig& config) {
   return stream;
 }
 
-Bytes piece_bytes(std::span<const SentPiece> pieces) {
-  Bytes sum = 0;
-  for (const SentPiece& piece : pieces) sum += piece.bytes;
-  return sum;
-}
-
 /// The tracer's JSONL step event for one step record: "type" first, then the
 /// record's fields in declaration order, minus link_idle (the trace format
 /// predates it).
@@ -47,16 +41,6 @@ obs::Json step_event(const obs::StepRecord& step) {
   event["client_occupancy"] = step.client_occupancy;
   event["stalled"] = step.stalled;
   return event;
-}
-
-ServerConfig server_config(const SimConfig& config) {
-  ServerConfig sc{.buffer = config.server_buffer,
-                  .rate = config.rate,
-                  .recovery = config.recovery};
-  // The deadline test lives at the server but D is a simulation-level
-  // parameter; keep callers from having to thread it twice.
-  sc.recovery.smoothing_delay = config.smoothing_delay;
-  return sc;
 }
 
 }  // namespace
@@ -107,35 +91,30 @@ SmoothingSimulator::SmoothingSimulator(const Stream& stream, SimConfig config,
                                        std::unique_ptr<Link> link)
     : stream_(&validated(stream, config)),
       config_(config),
-      server_(server_config(config), std::move(policy)),
-      link_(link ? std::move(link)
-                 : std::make_unique<FixedDelayLink>(config.link_delay)),
-      client_(stream.run_count(), config.client_buffer,
-              config.link_delay + config.smoothing_delay, config.playout,
-              config.smoothing_delay, config.underflow, config.max_stall) {
+      pipeline_(server_config(config), std::move(policy),
+                link ? std::move(link)
+                     : std::make_unique<FixedDelayLink>(config.link_delay),
+                Client(stream.run_count(), config.client_buffer,
+                       config.link_delay + config.smoothing_delay,
+                       config.playout, config.smoothing_delay,
+                       config.underflow, config.max_stall)) {
   if (config_.telemetry.enabled()) {
-    server_.set_telemetry(config_.telemetry);
-    client_.set_telemetry(config_.telemetry);
-    link_->set_telemetry(config_.telemetry);
+    pipeline_.server().set_telemetry(config_.telemetry);
+    pipeline_.client().set_telemetry(config_.telemetry);
+    pipeline_.link().set_telemetry(config_.telemetry);
   }
 }
 
 SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   RTS_EXPECTS(!ran_);
   ran_ = true;
-  SimReport& report = report_;
+  SimReport& report = pipeline_.report();
+  const SmoothingServer& server = pipeline_.server();
+  const Link& link = pipeline_.link();
+  const Client& client = pipeline_.client();
   ArrivalCursor cursor(*stream_);
   faults::InvariantMonitor monitor(config_.server_buffer, config_.rate,
                                    config_.telemetry);
-  // Per-run server drops and write-offs settle the client's run ledger.
-  server_.set_drop_sink([this](const SliceRun& /*run*/, std::size_t run_index,
-                               std::int64_t slices) {
-    client_.add_server_drop(run_index, slices, report_);
-  });
-  server_.set_link_loss_sink([this](const SliceRun& /*run*/,
-                                    std::size_t run_index, Bytes bytes) {
-    client_.add_link_loss(run_index, bytes, report_);
-  });
 
   // Telemetry instruments, resolved once; all null when disabled, so the
   // per-step cost of the instrumentation below is a handful of predictable
@@ -175,7 +154,7 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     // (severity, cell index) before the run, and those keys must survive.
     obs::Json context = obs::Json::object();
     fill_config(context);
-    context["policy"] = server_.policy().name();
+    context["policy"] = server.policy().name();
     for (std::size_t i = 0; i < context.keys().size(); ++i) {
       recorder->annotate(context.keys()[i], context.items()[i]);
     }
@@ -192,92 +171,41 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   // ceiling moves with them instead of aborting a legitimately slow run.
   const Time limit = horizon + playout_offset +
                      stream_->total_bytes() / config_.rate + 16 +
-                     8 * (link_->min_delay() + 1) + 256;
-  // One piece vector cycles through server -> link -> client: step_into
-  // fills it, submit moves it into the link's ring, deliver hands a
-  // previously submitted vector back, and the loop re-adopts that storage
-  // for the next step. After the pipeline fills (P steps), the steady-state
-  // loop performs no heap allocation at all — the zero-allocation guard
-  // test pins this (DESIGN.md Sect. 12).
-  std::vector<SentPiece> pieces;
+                     8 * (link.min_delay() + 1) + 256;
 
-  // One step of the full pipeline, observed through one StepRecord;
-  // absorb_span sends skipped slots down the same observation path.
+  // One step of the shared pipeline, observed through the record it
+  // returns; absorb_span sends skipped slots down the same observation path.
   const auto live_step = [&](Time now) {
-    RTS_ASSERT(now <= limit + client_.stall_steps());
-    if (rec != nullptr) rec->begin_step(now);
-    // Pre-step snapshots for the per-step deltas the tracer and flight
-    // recorder report. All zero (and unread) when nothing is observing, so
-    // the un-instrumented loop does not pay for them.
-    const bool observing = tracer != nullptr || recorder != nullptr;
-    const Bytes drops_before = (observing || sojourn_hist != nullptr)
-                                   ? report.dropped_server.bytes
-                                   : 0;
-    const Bytes played_before = observing ? report.played.bytes : 0;
-    const Bytes client_dropped_before =
-        observing ? client_.dropped_bytes_so_far() : 0;
-    const Bytes retx_before = observing ? report.retransmitted_bytes : 0;
-    const Time stalls_before = observing ? client_.stall_steps() : 0;
-    obs::StepRecord step{.t = now};
-
-    const auto nacks = link_->collect_nacks(now);
+    RTS_ASSERT(now <= limit + client.stall_steps());
+    pipeline_.begin(now, rec);
     const ArrivalBatch batch = cursor.step(now);
     for (std::size_t i = 0; i < batch.runs.size(); ++i) {
-      client_.admit(batch.runs[i], batch.first_index + i);
-      if (observing) step.arrived += batch.runs[i].total_bytes();
+      pipeline_.admit(batch.runs[i], batch.first_index + i);
     }
-    pieces.clear();
-    {
-      const obs::Span step_span(config_.telemetry, "server.step");
-      server_.step_into(now, batch, nacks, report, rec, pieces);
-    }
-    if (observing) step.sent = piece_bytes(pieces);
+    const obs::StepRecord& step = pipeline_.finish();
     if (sojourn_hist != nullptr) {
-      for (const SentPiece& piece : pieces) {
+      for (const SentPiece& piece : pipeline_.sent()) {
         sojourn_hist->record(now - piece.run->arrival, piece.bytes);
       }
-      const Bytes dropped_now = report.dropped_server.bytes - drops_before;
-      if (dropped_now > 0) {
+      if (step.dropped_server > 0) {
         ++drop_burst;
       } else if (drop_burst > 0) {
         burst_hist->record(drop_burst);
         drop_burst = 0;
       }
     }
-    // An empty send is not submitted: moving an empty vector into the link
-    // would surrender (and free) the storage being recycled.
-    if (!pieces.empty()) link_->submit(now, std::move(pieces));
-    auto delivered = link_->deliver(now);
-    client_.deliver(now, delivered, report, rec);
-    client_.play(now, report, rec);
-    if (observing) {
-      step.delivered = piece_bytes(delivered);
-      step.played = report.played.bytes - played_before;
-      step.dropped_server = report.dropped_server.bytes - drops_before;
-      step.dropped_client =
-          client_.dropped_bytes_so_far() - client_dropped_before;
-      step.retransmitted = report.retransmitted_bytes - retx_before;
-      step.server_occupancy = server_.buffer().occupancy();
-      step.client_occupancy = client_.occupancy();
-      step.link_idle = link_->idle();
-      step.stalled = client_.stall_steps() > stalls_before;
-    }
+    if (rec != nullptr) rec->record_step(step);
     // Recorded *before* monitor.check, so a violation at step t captures a
     // window whose last record is step t itself; traced after it, so the
     // step's violation events precede its step event.
     if (recorder != nullptr) recorder->record(step);
-    monitor.check(now, server_, client_);
-    if (rec != nullptr) rec->step().client_occupancy = client_.occupancy();
+    monitor.check(now, server, client);
     if (tracer != nullptr) tracer->write(step_event(step));
-    // Close the recycling loop: the delivered batch rode in on the vector
-    // submitted P steps ago; take its storage back for the next send.
-    if (pieces.capacity() < delivered.capacity()) pieces = std::move(delivered);
   };
 
   // Accounts for the quiescent slots [t0, t1) without stepping through them.
   const auto absorb_span = [&](Time t0, Time t1) {
-    RTS_ASSERT(t0 <= limit + client_.stall_steps());
-    const std::int64_t skipped = t1 - t0;
+    RTS_ASSERT(t0 <= limit + client.stall_steps());
     // A drop burst cannot straddle a quiescent span: the span's first
     // no-drop step ends it, exactly where a live step would flush it.
     if (burst_hist != nullptr && drop_burst > 0) {
@@ -285,24 +213,18 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
       drop_burst = 0;
     }
     // Autonomous link state (the Gilbert-Elliott chain) evolves with time,
-    // not traffic: replay the per-step deliver() polls the skipped slots
-    // would have issued, so RNG consumption and burst-length records stay
-    // draw-for-draw identical.
-    link_->advance_to(t1 - 1);
-    server_.record_idle_steps(skipped);
-    client_.record_idle_steps(skipped);
+    // not traffic: the pipeline replays the per-step deliver() polls the
+    // skipped slots would have issued, so RNG consumption and burst-length
+    // records stay draw-for-draw identical, and back-fills the registry.
+    pipeline_.skip(t0, t1);
     if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
     // Observers see every slot: one zero record per skipped slot, so step
     // traces, schedule recordings and incident windows match a run that
     // steps through the span.
-    const bool link_idle = link_->idle();  // constant across the span
+    const bool link_idle = link.idle();  // constant across the span
     for (Time s = t0; s < t1; ++s) {
-      if (rec != nullptr) {
-        rec->begin_step(s);
-        rec->step().server_occupancy = 0;
-        rec->step().client_occupancy = 0;
-      }
       const obs::StepRecord idle{.t = s, .link_idle = link_idle};
+      if (rec != nullptr) rec->record_step(idle);
       if (recorder != nullptr) recorder->record(idle);
       if (tracer != nullptr) tracer->write(step_event(idle));
     }
@@ -316,12 +238,12 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   // step; a strictly later one absorbs [t, next) as one span. The run lasts
   // until everything drains: timer-mode playout can trail the offset.
   Time t = 0;
-  while (t <= last_playout || !server_.idle() || !link_->idle() ||
-         client_.occupancy() > 0) {
-    const Time next = server_.idle() && client_.occupancy() == 0
+  while (t <= last_playout || !server.idle() || !link.idle() ||
+         client.occupancy() > 0) {
+    const Time next = server.idle() && client.occupancy() == 0
                           ? std::min({cursor.next_arrival(),
-                                      link_->next_activity(t),
-                                      client_.next_playout_event(t),
+                                      link.next_activity(t),
+                                      client.next_playout_event(t),
                                       last_playout + 1})
                           : t;
     if (next <= t) {
@@ -335,7 +257,7 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     burst_hist->record(drop_burst);  // a burst running into the drain tail
   }
   report.steps = t;
-  client_.finalize(report);
+  pipeline_.finalize();
   monitor.finalize(report);
   if (reg != nullptr) {
     reg->counter("sim.steps").add(report.steps);

@@ -1,18 +1,21 @@
 // End-to-end slotted simulation of the smoothing system of Fig. 1:
 // source -> server buffer -> link -> client buffer -> playout device.
 //
-// Per step t (the event order fixed in Sect. 2.2): loss feedback (NACKs)
-// reaches the server; the frame A(t) arrives at the server; the server
-// drops, retransmits and sends per the generic algorithm (Eqs. (2),(3))
-// with its DropPolicy; the link delivers R(t) = S(t-P); the client stores,
-// then plays the frame whose playout step this is (PT = AT + P + D, shifted
-// by any rebuffering under UnderflowPolicy::Stall). The run continues past
-// the last arrival until the server (buffer and retransmission queue), link
-// (including pending loss feedback) and playout pipeline fully drain, so
-// reports always satisfy conservation — even on faulty links. Quiescent
-// spans (server idle, client empty, no event due) are absorbed without
-// stepping through them; observers still see every step (DESIGN.md
-// Sect. 17).
+// Each live step is one step of the shared pipeline (core/pipeline.h), in
+// the event order fixed in Sect. 2.2: loss feedback (NACKs) reaches the
+// server; the frame A(t) arrives at the server; the server drops,
+// retransmits and sends per the generic algorithm (Eqs. (2),(3)) with its
+// DropPolicy; the link delivers R(t) = S(t-P); the client stores, then
+// plays the frame whose playout step this is (PT = AT + P + D, shifted by
+// any rebuffering under UnderflowPolicy::Stall). The simulator adds what a
+// batch run needs around it: the stream's arrival cursor, the drain test,
+// span skipping and the observers. The run continues past the last arrival
+// until the server (buffer and retransmission queue), link (including
+// pending loss feedback) and playout pipeline fully drain, so reports
+// always satisfy conservation — even on faulty links. Quiescent spans
+// (server idle, client empty, no event due) are absorbed without stepping
+// through them; observers still see every step, through the same step
+// record a live step returns (DESIGN.md Sect. 17).
 //
 // An InvariantMonitor (src/faults/) watches the Lemma 3.2-3.4 guarantees
 // every step and records violations into the report instead of aborting:
@@ -28,6 +31,7 @@
 #include "core/generic_algorithm.h"
 #include "core/link.h"
 #include "core/metrics.h"
+#include "core/pipeline.h"
 #include "core/planner.h"
 #include "core/schedule.h"
 #include "core/slice.h"
@@ -100,12 +104,7 @@ class SmoothingSimulator {
  private:
   const Stream* stream_;
   SimConfig config_;
-  SmoothingServer server_;
-  std::unique_ptr<Link> link_;
-  Client client_;
-  /// The run's report; the server's drop and link-loss sinks settle the
-  /// client's run ledger into it mid-step.
-  SimReport report_;
+  Pipeline pipeline_;
   bool ran_ = false;
 };
 

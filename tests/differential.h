@@ -3,7 +3,7 @@
 // instance — skipping quiescent spans, as it always does, and stepping,
 // behind a SteppingLink that forces a live step at every slot.
 //
-// Per run the harness captures four artifacts:
+// Per run the harness captures five artifacts:
 //   - the SimReport (operator==: every tally, breakdown, maximum and
 //     invariant-violation count),
 //   - the JSONL trace (config / violation / step / run events — a skipping
@@ -12,7 +12,10 @@
 //   - the Registry snapshot, to_json(/*include_timers=*/false) — the
 //     byte-identity determinism unit (span timers measure wall clock and
 //     are quarantined, DESIGN.md Sect. 8),
-//   - the FlightRecorder incident list plus its step/trigger counters.
+//   - the FlightRecorder incident list plus its step/trigger counters,
+//   - the per-step sets of a RunsAndSteps ScheduleRecorder, which must
+//     agree with the same run's JSONL step events on every field the two
+//     share — the step observation the timing-lemma tests read.
 //
 // The reference oracle carries no registry or recorder, so the oracle
 // legs compare report + trace, while the stepping-vs-skipping leg compares
@@ -33,6 +36,7 @@
 #include <vector>
 
 #include "core/link.h"
+#include "core/schedule.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "obs/trace_writer.h"
@@ -95,6 +99,7 @@ struct EngineArtifacts {
   std::string incidents;  ///< incident documents, one JSON line each
   std::int64_t steps_recorded = 0;
   std::int64_t triggers_total = 0;
+  std::vector<StepSets> step_sets;  ///< ScheduleRecorder, RunsAndSteps
 };
 
 /// Small window / few incidents: enough to catch a divergence without
@@ -131,8 +136,11 @@ inline EngineArtifacts run_engine(const Stream& stream,
   sim::SmoothingSimulator simulator(
       stream, cfg, make_policy(policy),
       stepping ? stepping_link(config, link) : (link ? link() : nullptr));
+  ScheduleRecorder schedule(stream.run_count(),
+                            ScheduleRecorder::Level::RunsAndSteps);
   EngineArtifacts out;
-  out.report = simulator.run();
+  out.report = simulator.run(&schedule);
+  out.step_sets = schedule.steps();
   out.trace = std::move(trace).str();
   out.registry = registry.to_json(/*include_timers=*/false).dump();
   std::ostringstream incidents;
@@ -194,11 +202,64 @@ inline void expect_same_lines(std::string_view artifact,
                 << ") with no differing line\n" << reproducer;
 }
 
+/// One production leg's ScheduleRecorder steps against its own JSONL step
+/// events, on the nine fields both carry: t, the six byte flows and the two
+/// occupancies. The recorder and the tracer observe the same steps, so the
+/// two lists must agree element for element.
+inline void expect_step_sets_match_trace(std::string_view label,
+                                         const EngineArtifacts& leg,
+                                         const std::string& reproducer) {
+  std::istringstream in(leg.trace);
+  std::string line;
+  std::size_t index = 0;
+  while (std::getline(in, line)) {
+    const obs::Json event = obs::Json::parse(line);
+    if (event.at("type").as_string() != "step") continue;
+    if (index >= leg.step_sets.size()) {
+      ADD_FAILURE() << label << ": the trace has more step events than the "
+                    << "recorder's " << leg.step_sets.size() << " steps\n"
+                    << reproducer;
+      return;
+    }
+    const StepSets& step = leg.step_sets[index++];
+    const bool same =
+        event.at("t").as_int() == step.t &&
+        event.at("arrived").as_int() == step.arrived &&
+        event.at("sent").as_int() == step.sent &&
+        event.at("delivered").as_int() == step.delivered &&
+        event.at("played").as_int() == step.played &&
+        event.at("dropped_server").as_int() == step.dropped_server &&
+        event.at("dropped_client").as_int() == step.dropped_client &&
+        event.at("server_occupancy").as_int() == step.server_occupancy &&
+        event.at("client_occupancy").as_int() == step.client_occupancy;
+    if (!same) {
+      ADD_FAILURE() << label << ": recorder step " << index - 1
+                    << " (t=" << step.t << ", arrived=" << step.arrived
+                    << ", sent=" << step.sent
+                    << ", delivered=" << step.delivered
+                    << ", played=" << step.played
+                    << ", dropped_server=" << step.dropped_server
+                    << ", dropped_client=" << step.dropped_client
+                    << ", server_occupancy=" << step.server_occupancy
+                    << ", client_occupancy=" << step.client_occupancy
+                    << ") disagrees with the trace's step event\n  " << line
+                    << "\n" << reproducer;
+      return;
+    }
+  }
+  EXPECT_EQ(index, leg.step_sets.size())
+      << label << ": the recorder has more steps than the trace\n"
+      << reproducer;
+}
+
 /// Stepping vs skipping: full-artifact byte-identity (report, trace,
-/// registry snapshot, incident list and recorder counters).
+/// registry snapshot, incident list and recorder counters), after checking
+/// each leg's recorder steps against its own trace.
 inline void expect_legs_identical(const EngineArtifacts& stepping,
                                   const EngineArtifacts& skipping,
                                   const std::string& reproducer) {
+  expect_step_sets_match_trace("stepping", stepping, reproducer);
+  expect_step_sets_match_trace("skipping", skipping, reproducer);
   EXPECT_TRUE(stepping.report == skipping.report)
       << "SimReport mismatch (stepping vs skipping)\n" << reproducer;
   expect_same_lines("trace", "stepping", stepping.trace, "skipping",

@@ -153,10 +153,8 @@ TEST(Client, RecorderGetsPlayTimeAndReceiveTimes) {
   SimReport report;
   ScheduleRecorder rec(s.run_count(), ScheduleRecorder::Level::RunsAndSteps);
   Client client = admitted(s, 100, 2);
-  rec.begin_step(1);
   client.deliver(1, piece_of(s, 0, 2, 2), report, &rec);
   client.play(1, report, &rec);
-  rec.begin_step(2);
   client.play(2, report, &rec);
   EXPECT_EQ(rec.run(0).first_receive, 1);
   EXPECT_EQ(rec.run(0).play_time, 2);

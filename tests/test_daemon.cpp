@@ -25,6 +25,7 @@
 
 #include "daemon/rtsmoothd.h"
 #include "faults/fault_schedule.h"
+#include "obs/flight_recorder.h"
 #include "obs/json.h"
 
 namespace rtsmooth::daemon {
@@ -256,7 +257,7 @@ TEST(Watchdog, HealthyTrafficNeverBreaches) {
   StepStats healthy;
   healthy.playouts = 1;
   healthy.offered_weight = 10.0;
-  healthy.server_occupancy = 10;
+  healthy.record.server_occupancy = 10;
   for (Time t = 0; t < 50; ++t) {
     EXPECT_FALSE(wd.observe(t, healthy).any());
   }
@@ -309,6 +310,32 @@ DaemonOptions balanced_options(Bytes rate, Time delay) {
 
 // ------------------------------------------------------------ live engine
 
+TEST(LiveEngine, DegradedPlayoutIsNotAStall) {
+  // 10-byte frames every step against R = 2, B = 4: Eq. (3) sheds most of
+  // every frame, so playouts are degraded. The engine plays out under Skip
+  // and never rebuffers, so no step record may claim a stall; degraded
+  // playouts are counted in StepStats::degraded instead.
+  EngineConfig config;
+  config.rate = 2;
+  config.smoothing_delay = 2;
+  config.server_buffer = 4;
+  config.client_buffer = 4;
+  config.link_delay = 1;
+  obs::FlightRecorder recorder({.window = 64, .trigger_on_violation = false});
+  LiveEngine engine(config, obs::Telemetry{.recorder = &recorder});
+  const IngestFrame frame{.type = FrameType::P, .size = 10};
+  std::int64_t degraded = 0;
+  for (Time t = 0; t < 40; ++t) {
+    const StepStats st = t < 30 ? engine.step({&frame, 1}) : engine.step({});
+    degraded += st.degraded;
+    EXPECT_FALSE(st.record.stalled) << "step " << t;
+  }
+  EXPECT_GT(degraded, 0);
+  for (const obs::StepRecord& step : recorder.window()) {
+    EXPECT_FALSE(step.stalled) << "recorded step " << step.t;
+  }
+}
+
 TEST(LiveEngine, AbortMovesEverythingOwedToResidual) {
   // R = 2, B = 8, P = 3, D = 4: a 12-byte frame sheds 2 bytes on arrival
   // (Eq. (3)) and sends 2 per step. After four steps the first 2 sent bytes
@@ -327,8 +354,8 @@ TEST(LiveEngine, AbortMovesEverythingOwedToResidual) {
   for (Time t = 0; t < 4; ++t) {
     const StepStats st =
         t == 0 ? engine.step({&frame, 1}) : engine.step({});
-    sent += st.sent;
-    delivered += st.delivered;
+    sent += st.record.sent;
+    delivered += st.record.delivered;
   }
   const Bytes in_server = engine.server_occupancy();
   const Bytes on_link = sent - delivered;

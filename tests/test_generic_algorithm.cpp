@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "core/generic_algorithm.h"
+#include "core/pipeline.h"
 #include "policies/policy_factory.h"
 #include "policies/proactive_threshold.h"
 #include "policies/tail_drop.h"
@@ -16,74 +19,88 @@ namespace {
 using testing::stream_of;
 using testing::units;
 
-std::vector<SentPiece> run_step(SmoothingServer& server, Time t,
-                                const Stream& stream, ArrivalCursor& cursor,
-                                SimReport& report,
-                                ScheduleRecorder* rec = nullptr) {
-  (void)stream;
-  if (rec != nullptr) rec->begin_step(t);
-  return server.step(t, cursor.step(t), report, rec);
+/// The server under test inside the shared step (core/pipeline.h), the
+/// only way to run it: a one-step lossless link and an unbounded client
+/// whose playout lies past every test's horizon, so the client only keeps
+/// the per-run ledger the server books its drops into.
+struct ServerRig {
+  ServerRig(const Stream& s, ServerConfig config,
+            std::unique_ptr<DropPolicy> policy)
+      : cursor(s),
+        pipe(config, std::move(policy), std::make_unique<FixedDelayLink>(1),
+             Client(s.run_count(), Client::kUnbounded,
+                    /*playout_offset=*/1000)) {}
+
+  const SmoothingServer& server() const { return pipe.server(); }
+  const SimReport& report() const { return pipe.report(); }
+
+  ArrivalCursor cursor;
+  Pipeline pipe;
+};
+
+/// Runs step t and returns the pieces the server sent (valid until the
+/// next step).
+std::span<const SentPiece> run_step(ServerRig& rig, Time t,
+                                    ScheduleRecorder* rec = nullptr) {
+  rig.pipe.begin(t, rec);
+  const ArrivalBatch batch = rig.cursor.step(t);
+  for (std::size_t i = 0; i < batch.runs.size(); ++i) {
+    rig.pipe.admit(batch.runs[i], batch.first_index + i);
+  }
+  rig.pipe.finish();
+  return rig.pipe.sent();
 }
 
 TEST(GenericAlgorithm, SendsAtFullRateWhileBacklogged) {
   const Stream s = stream_of({units(0, 10)});
-  SmoothingServer server(ServerConfig{.buffer = 10, .rate = 3},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
+  ServerRig rig(s, ServerConfig{.buffer = 10, .rate = 3},
+                std::make_unique<TailDropPolicy>());
   Bytes sent_total = 0;
   for (Time t = 0; t < 4; ++t) {
-    std::vector<SentPiece> pieces =
-        run_step(server, t, s, cursor, report);
+    const std::span<const SentPiece> pieces = run_step(rig, t);
     Bytes sent = 0;
     for (const auto& piece : pieces) sent += piece.bytes;
     sent_total += sent;
     EXPECT_EQ(sent, t < 3 ? 3 : 1);  // 3,3,3 then the last byte
   }
   EXPECT_EQ(sent_total, 10);
-  EXPECT_TRUE(server.buffer().empty());
-  EXPECT_EQ(report.dropped_server.bytes, 0);
+  EXPECT_TRUE(rig.server().buffer().empty());
+  EXPECT_EQ(rig.report().dropped_server.bytes, 0);
 }
 
 TEST(GenericAlgorithm, Equation2UsesPreDropOccupancy) {
   // Arrival of 12 with B=4, R=2: S = min(2, 12) = 2, D = 12 - 2 - 4 = 6.
   const Stream s = stream_of({units(0, 12)});
-  SmoothingServer server(ServerConfig{.buffer = 4, .rate = 2},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
-  const auto pieces = run_step(server, 0, s, cursor, report);
+  ServerRig rig(s, ServerConfig{.buffer = 4, .rate = 2},
+                std::make_unique<TailDropPolicy>());
+  const auto pieces = run_step(rig, 0);
   Bytes sent = 0;
   for (const auto& piece : pieces) sent += piece.bytes;
   EXPECT_EQ(sent, 2);
-  EXPECT_EQ(report.dropped_server.bytes, 6);
-  EXPECT_EQ(server.buffer().occupancy(), 4);
+  EXPECT_EQ(rig.report().dropped_server.bytes, 6);
+  EXPECT_EQ(rig.server().buffer().occupancy(), 4);
 }
 
 TEST(GenericAlgorithm, NoDropWithoutOverflow) {
   const Stream s = stream_of({units(0, 5), units(1, 5)});
-  SmoothingServer server(ServerConfig{.buffer = 8, .rate = 1},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
-  run_step(server, 0, s, cursor, report);  // 5 arrive, 1 sent, 4 left
-  run_step(server, 1, s, cursor, report);  // 9 pre-drop, 1 sent, 8 kept
-  EXPECT_EQ(report.dropped_server.bytes, 0);
-  EXPECT_EQ(server.buffer().occupancy(), 8);
+  ServerRig rig(s, ServerConfig{.buffer = 8, .rate = 1},
+                std::make_unique<TailDropPolicy>());
+  run_step(rig, 0);  // 5 arrive, 1 sent, 4 left
+  run_step(rig, 1);  // 9 pre-drop, 1 sent, 8 kept
+  EXPECT_EQ(rig.report().dropped_server.bytes, 0);
+  EXPECT_EQ(rig.server().buffer().occupancy(), 8);
 }
 
 TEST(GenericAlgorithm, OccupancyNeverExceedsB) {
   // Lemma 3.2 part 1: |Bs(t)| <= B under any arrivals.
   const Stream s = stream_of({units(0, 20), units(1, 15), units(3, 30)});
-  SmoothingServer server(ServerConfig{.buffer = 7, .rate = 2},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
+  ServerRig rig(s, ServerConfig{.buffer = 7, .rate = 2},
+                std::make_unique<TailDropPolicy>());
   for (Time t = 0; t < 12; ++t) {
-    run_step(server, t, s, cursor, report);
-    EXPECT_LE(server.buffer().occupancy(), 7);
+    run_step(rig, t);
+    EXPECT_LE(rig.server().buffer().occupancy(), 7);
   }
-  EXPECT_EQ(report.max_server_occupancy, 7);
+  EXPECT_EQ(rig.report().max_server_occupancy, 7);
 }
 
 TEST(GenericAlgorithm, SojournBoundedByBOverR) {
@@ -91,12 +108,10 @@ TEST(GenericAlgorithm, SojournBoundedByBOverR) {
   const Stream s = stream_of({units(0, 12), units(2, 6), units(5, 9)});
   const Bytes b = 6;
   const Bytes r = 2;
-  SmoothingServer server(ServerConfig{.buffer = b, .rate = r},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
+  ServerRig rig(s, ServerConfig{.buffer = b, .rate = r},
+                std::make_unique<TailDropPolicy>());
   ScheduleRecorder rec(s.run_count());
-  for (Time t = 0; t < 20; ++t) run_step(server, t, s, cursor, report, &rec);
+  for (Time t = 0; t < 20; ++t) run_step(rig, t, &rec);
   for (std::size_t i = 0; i < s.run_count(); ++i) {
     const RunOutcome& out = rec.run(i);
     if (out.last_send == kNever) continue;
@@ -106,13 +121,11 @@ TEST(GenericAlgorithm, SojournBoundedByBOverR) {
 
 TEST(GenericAlgorithm, FifoOrderAcrossRuns) {
   const Stream s = stream_of({units(0, 3), units(1, 3), units(2, 3)});
-  SmoothingServer server(ServerConfig{.buffer = 16, .rate = 2},
-                         std::make_unique<TailDropPolicy>());
-  ArrivalCursor cursor(s);
-  SimReport report;
+  ServerRig rig(s, ServerConfig{.buffer = 16, .rate = 2},
+                std::make_unique<TailDropPolicy>());
   std::vector<std::size_t> order;
   for (Time t = 0; t < 8; ++t) {
-    for (const auto& piece : run_step(server, t, s, cursor, report)) {
+    for (const auto& piece : run_step(rig, t)) {
       order.push_back(piece.run_index);
     }
   }
@@ -126,12 +139,9 @@ TEST(GenericAlgorithm, DropCountIsPolicyIndependentForUnitSlices) {
                               units(2, 9, 2.0), units(4, 9, 9.0)});
   std::vector<Bytes> dropped;
   for (const auto& name : known_policies()) {
-    SimReport report;
-    SmoothingServer server(ServerConfig{.buffer = 5, .rate = 2},
-                           make_policy(name));
-    ArrivalCursor cursor(s);
-    for (Time t = 0; t < 25; ++t) run_step(server, t, s, cursor, report);
-    dropped.push_back(report.dropped_server.bytes);
+    ServerRig rig(s, ServerConfig{.buffer = 5, .rate = 2}, make_policy(name));
+    for (Time t = 0; t < 25; ++t) run_step(rig, t);
+    dropped.push_back(rig.report().dropped_server.bytes);
   }
   for (std::size_t i = 1; i < dropped.size(); ++i) {
     // The proactive policy may legitimately drop *more* (it drops early);
@@ -147,21 +157,16 @@ TEST(GenericAlgorithm, EarlyDropsAreAccountedToTheReport) {
   const Stream s = stream_of({units(0, 8, 1.0), units(1, 2, 9.0)});
   auto policy = std::make_unique<ProactiveThresholdPolicy>(
       ProactiveConfig{.watermark = 0.25, .value_floor = 2.0});
-  SmoothingServer server(ServerConfig{.buffer = 8, .rate = 1},
-                         std::move(policy));
-  ArrivalCursor cursor(s);
-  SimReport report;
+  ServerRig rig(s, ServerConfig{.buffer = 8, .rate = 1}, std::move(policy));
   ScheduleRecorder rec(s.run_count());
   // Step 0: 8 cheap arrive, no early state yet; 1 sent, 7 held (no
   // overflow: 8 <= B + s). Step 1: early drop fires first (7 > 2 = 0.25*8),
   // shedding 5 cheap slices down to the watermark.
-  rec.begin_step(0);
-  server.step(0, cursor.step(0), report, &rec);
-  EXPECT_EQ(report.dropped_server.bytes, 0);
-  rec.begin_step(1);
-  server.step(1, cursor.step(1), report, &rec);
-  EXPECT_EQ(report.dropped_server.bytes, 5);
-  EXPECT_DOUBLE_EQ(report.dropped_server.weight, 5.0);
+  run_step(rig, 0, &rec);
+  EXPECT_EQ(rig.report().dropped_server.bytes, 0);
+  run_step(rig, 1, &rec);
+  EXPECT_EQ(rig.report().dropped_server.bytes, 5);
+  EXPECT_DOUBLE_EQ(rig.report().dropped_server.weight, 5.0);
   EXPECT_EQ(rec.run(0).dropped_server, 5);
   EXPECT_EQ(rec.run(1).dropped_server, 0);  // the dear slices survive
 }

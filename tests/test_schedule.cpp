@@ -1,5 +1,5 @@
-// Unit tests for the schedule recorder: per-run event times, per-step set
-// sizes, recording levels.
+// Unit tests for the schedule recorder: per-run event times, kept step
+// records, recording levels.
 
 #include <gtest/gtest.h>
 
@@ -19,9 +19,7 @@ TEST(ScheduleRecorder, RunOutcomesStartUnset) {
 
 TEST(ScheduleRecorder, NoteSendTracksFirstAndLast) {
   ScheduleRecorder rec(1);
-  rec.begin_step(5);
   rec.note_send(0, 5, 10);
-  rec.begin_step(9);
   rec.note_send(0, 9, 3);
   EXPECT_EQ(rec.run(0).first_send, 5);
   EXPECT_EQ(rec.run(0).last_send, 9);
@@ -29,9 +27,7 @@ TEST(ScheduleRecorder, NoteSendTracksFirstAndLast) {
 
 TEST(ScheduleRecorder, NoteReceiveTracksFirstAndLast) {
   ScheduleRecorder rec(1);
-  rec.begin_step(7);
   rec.note_receive(0, 7, 4);
-  rec.begin_step(8);
   rec.note_receive(0, 8, 4);
   EXPECT_EQ(rec.run(0).first_receive, 7);
   EXPECT_EQ(rec.run(0).last_receive, 8);
@@ -39,20 +35,15 @@ TEST(ScheduleRecorder, NoteReceiveTracksFirstAndLast) {
 
 TEST(ScheduleRecorder, RunsOnlyLevelKeepsNoSteps) {
   ScheduleRecorder rec(1, ScheduleRecorder::Level::RunsOnly);
-  rec.begin_step(0);
-  rec.step().arrived = 10;
-  rec.begin_step(1);
+  rec.record_step(StepSets{.t = 0, .arrived = 10});
+  rec.record_step(StepSets{.t = 1});
   EXPECT_TRUE(rec.steps().empty());
 }
 
 TEST(ScheduleRecorder, RunsAndStepsKeepsPerStepSets) {
   ScheduleRecorder rec(2, ScheduleRecorder::Level::RunsAndSteps);
-  rec.begin_step(0);
-  rec.step().arrived = 10;
-  rec.note_send(0, 0, 4);
-  rec.begin_step(1);
-  rec.note_send(1, 1, 2);
-  rec.note_receive(0, 1, 4);
+  rec.record_step(StepSets{.t = 0, .arrived = 10, .sent = 4});
+  rec.record_step(StepSets{.t = 1, .sent = 2, .delivered = 4});
   ASSERT_EQ(rec.steps().size(), 2u);
   EXPECT_EQ(rec.steps()[0].t, 0);
   EXPECT_EQ(rec.steps()[0].arrived, 10);
@@ -70,7 +61,6 @@ TEST(ScheduleRecorderDeathTest, OutOfRangeRunAborts) {
 
 TEST(ScheduleRecorderDeathTest, ZeroByteSendAborts) {
   ScheduleRecorder rec(1);
-  rec.begin_step(0);
   EXPECT_DEATH(rec.note_send(0, 0, 0), "precondition");
 }
 

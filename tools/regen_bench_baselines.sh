@@ -3,7 +3,9 @@
 #
 # The recipe is pinned: every figure/table bench runs with
 # `--quick --frames 120 --threads 1 --json` — the same workload the CI
-# bench-smoke and bench-regression jobs use. Results are deterministic
+# bench-smoke and bench-regression jobs use. The daemon baseline
+# SOAK_overload.json is the snapshot of the overloaded soak_driver run in
+# tools/soak_baseline.cmake, which the soak_overload_baseline ctest reruns. Results are deterministic
 # (DESIGN.md Sect. 9), so a baseline only changes when the simulation or
 # the report schema genuinely changes; wall-clock fields differ run to run
 # but tools/bench_diff.py quarantines them.
@@ -49,4 +51,13 @@ for bench in "${benches[@]}"; do
     > /dev/null
 done
 
-echo "wrote ${#benches[@]} baselines to $out"
+soak="$build/tools/soak_driver"
+if [[ ! -x "$soak" ]]; then
+  echo "missing $soak — build the soak_driver target first" >&2
+  exit 1
+fi
+echo "baseline: SOAK_overload"
+cmake -DSOAK="$soak" -DBASELINE="$out/SOAK_overload.json" -DUPDATE=ON \
+  -P "$repo/tools/soak_baseline.cmake"
+
+echo "wrote $((${#benches[@]} + 1)) baselines to $out"
