@@ -104,7 +104,10 @@ StrategyOutcome evaluate_renegotiated_cbr(const Stream& stream,
     }
     const Bytes planned = std::min(rate, buffer.occupancy());
     const Bytes target = config.buffer + planned;
-    if (buffer.occupancy() > target) policy.shed(buffer, target);
+    if (buffer.occupancy() > target) {
+      policy.shed(buffer, target);
+      buffer.clear_drop_log();  // losses count as undelivered bytes here
+    }
     pieces.clear();
     buffer.send(planned, pieces);
     for (const SentPiece& piece : pieces) {

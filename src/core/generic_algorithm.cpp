@@ -7,11 +7,6 @@
 #include "util/assert.h"
 
 namespace rtsmooth {
-namespace {
-
-std::size_t type_index(FrameType t) { return static_cast<std::size_t>(t); }
-
-}  // namespace
 
 SmoothingServer::SmoothingServer(ServerConfig config,
                                  std::unique_ptr<DropPolicy> policy)
@@ -19,10 +14,6 @@ SmoothingServer::SmoothingServer(ServerConfig config,
   RTS_EXPECTS(config_.buffer >= 1);
   RTS_EXPECTS(config_.rate >= 1);
   RTS_EXPECTS(policy_ != nullptr);
-  buffer_.set_drop_observer([this](const SliceRun& run, std::size_t run_index,
-                                   std::int64_t slices) {
-    account_drop(run, run_index, slices);
-  });
   // Capacity formulas (DESIGN.md Sect. 12). Chunks hold >= 1 byte each and
   // same-run pushes merge, so B + one frame's worth of pre-shed overshoot
   // bounds the resident chunk count only loosely — in practice the count
@@ -37,16 +28,21 @@ SmoothingServer::SmoothingServer(ServerConfig config,
   }
 }
 
-void SmoothingServer::account_drop(const SliceRun& run, std::size_t run_index,
-                                   std::int64_t slices) {
+void SmoothingServer::book_drop_log() {
   RTS_ASSERT(current_report_ != nullptr);
-  const Bytes bytes = run.slice_size * slices;
-  const Weight weight = run.weight * static_cast<Weight>(slices);
-  current_report_->dropped_server.add(bytes, weight, slices);
-  if (current_rec_ != nullptr) {
-    current_rec_->run(run_index).dropped_server += slices;
+  for (const DroppedSlices& victim : buffer_.drop_log()) {
+    const Bytes bytes = victim.run->slice_size * victim.slices;
+    const Weight weight =
+        victim.run->weight * static_cast<Weight>(victim.slices);
+    current_report_->dropped_server.add(bytes, weight, victim.slices);
+    dropped_.add(bytes, weight, victim.slices);
+    if (current_rec_ != nullptr) {
+      current_rec_->run(victim.run_index).dropped_server += victim.slices;
+    }
+    current_client_->add_server_drop(victim.run_index, victim.slices,
+                                     *current_report_);
   }
-  current_client_->add_server_drop(run_index, slices, *current_report_);
+  buffer_.clear_drop_log();
 }
 
 void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
@@ -133,15 +129,7 @@ void SmoothingServer::begin_step(Time t, std::span<const Nack> nacks,
 
   // Pro-active (early) drops act on the state before this step's arrivals.
   policy_->early_drop(buffer_, config_.buffer, t);
-}
-
-void SmoothingServer::admit(const SliceRun& run, std::size_t run_index) {
-  RTS_EXPECTS(current_report_ != nullptr);
-  buffer_.push(run, run_index, run.count);
-  current_report_->offered.add(run.total_bytes(), run.total_weight(),
-                               run.count);
-  current_report_->offered_by_type[type_index(run.frame_type)].add(
-      run.total_bytes(), run.total_weight(), run.count);
+  book_drops();
 }
 
 void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
@@ -169,6 +157,7 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
     const obs::Span drop_span(telemetry_, "policy.drop");
     if (shed_events_ != nullptr) shed_events_->add(1);
     policy_->shed(buffer_, target);
+    book_drops();
     RTS_ASSERT(buffer_.occupancy() <= target);
   }
 
@@ -202,10 +191,11 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
 
 DropResult SmoothingServer::shed_below_value(double floor) {
   RTS_EXPECTS(floor >= 0.0);
-  // Drops route through the buffer's drop observer, which books them into
-  // the step's report and client ledger.
   RTS_EXPECTS(current_report_ != nullptr);
-  return buffer_.empty() ? DropResult{} : shed::greedy_shed(buffer_, 0, floor);
+  if (buffer_.empty()) return {};
+  const DropResult dropped = shed::greedy_shed(buffer_, 0, floor);
+  book_drops();
+  return dropped;
 }
 
 }  // namespace rtsmooth

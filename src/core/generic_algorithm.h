@@ -9,7 +9,10 @@
 // delegated to a DropPolicy (the paper's intentional under-specification);
 // with unit slices the count dropped is exactly Eq. (3) regardless of
 // policy, which is what makes Theorem 3.5 policy-independent. The server
-// is the first stage of the shared step (core/pipeline.h).
+// is the first stage of the shared step (core/pipeline.h) and every hop of
+// a tandem path (tandem/tandem.h). It books drops from its buffer's drop
+// log after each policy call, so it holds no pointer to itself and moves
+// like any value.
 
 // Recovery extension (not in the paper; see DESIGN.md "Fault model &
 // recovery semantics"): on a lossy link, erased pieces come back as NACKs.
@@ -36,6 +39,7 @@
 #include "core/slice.h"
 #include "core/types.h"
 #include "obs/telemetry.h"
+#include "util/assert.h"
 #include "util/ring_buffer.h"
 
 namespace rtsmooth {
@@ -67,20 +71,26 @@ class SmoothingServer {
  public:
   SmoothingServer(ServerConfig config, std::unique_ptr<DropPolicy> policy);
 
-  /// A step is begin_step(), admit() per arrival, then finish_step();
-  /// core/pipeline.h is the one caller.
+  /// A step is begin_step(), admit() per arrival, then finish_step(). The
+  /// shared step (core/pipeline.h) and the tandem's hops are the callers.
   ///
   /// Opens step t: NACK triage, then pro-active (early) drops on the
-  /// pre-arrival state. Drop and arrival tallies accumulate into `report`.
-  /// Every server drop and link write-off is booked into `client`'s per-run
-  /// ledger, which decides when a run retires; per-run outcomes go to `rec`
-  /// if given.
+  /// pre-arrival state. Drop tallies accumulate into `report`. Every server
+  /// drop and link write-off is booked into `client`'s per-run ledger,
+  /// which decides when a run retires; per-run outcomes go to `rec` if
+  /// given.
   void begin_step(Time t, std::span<const Nack> nacks, SimReport& report,
                   Client& client, ScheduleRecorder* rec);
-  /// Pushes `run.count` slices of `run` into the buffer under identity
-  /// `run_index` and tallies them as offered. Only valid between
-  /// begin_step() and finish_step(), after the client admitted the run.
-  void admit(const SliceRun& run, std::size_t run_index);
+  /// Pushes `slices` slices of `run` into the buffer under identity
+  /// `run_index`: a whole arrival, or a piece a tandem hop forwards. Only
+  /// valid between begin_step() and finish_step(), after the client
+  /// admitted the run. The offered tally is the caller's
+  /// (SimReport::add_offered), where the run enters the system.
+  void admit(const SliceRun& run, std::size_t run_index,
+             std::int64_t slices) {
+    RTS_EXPECTS(current_report_ != nullptr);
+    buffer_.push(run, run_index, slices);
+  }
   /// Retransmits due pieces, sheds per Eq. (3), and sends per Eq. (2);
   /// submitted pieces are appended to `out`, which callers recycle across
   /// steps so the step allocates nothing.
@@ -96,6 +106,8 @@ class SmoothingServer {
   const ServerBuffer& buffer() const { return buffer_; }
   const ServerConfig& config() const { return config_; }
   const DropPolicy& policy() const { return *policy_; }
+  /// Everything this server has dropped (a tandem's per-hop drops).
+  const Tally& dropped() const { return dropped_; }
 
   /// True when both the buffer and the retransmission queue are empty.
   bool idle() const { return buffer_.empty() && retx_queue_.empty(); }
@@ -123,8 +135,13 @@ class SmoothingServer {
     Time ready_at = 0;  ///< earliest retransmission step (backoff applied)
   };
 
-  void account_drop(const SliceRun& run, std::size_t run_index,
-                    std::int64_t slices);
+  /// Books the buffer's drop log into the report, the client ledger, the
+  /// recorder and dropped(), then clears it. Called after every policy
+  /// call; an empty log costs one test.
+  void book_drops() {
+    if (!buffer_.drop_log().empty()) book_drop_log();
+  }
+  void book_drop_log();
   void write_off(const SentPiece& piece);
   void handle_nack(const Nack& nack, Time t);
   /// Sends due retransmissions (FIFO, whole pieces) within `budget` bytes;
@@ -147,6 +164,7 @@ class SmoothingServer {
   obs::Counter* written_off_bytes_ = nullptr;
   obs::Histogram* occupancy_hist_ = nullptr;
   obs::Gauge* max_occupancy_ = nullptr;
+  Tally dropped_;
   // Bound by begin_step() for the duration of one step.
   SimReport* current_report_ = nullptr;
   Client* current_client_ = nullptr;

@@ -6,6 +6,7 @@
 #include <array>
 #include <iosfwd>
 
+#include "core/slice.h"
 #include "core/types.h"
 
 namespace rtsmooth {
@@ -87,6 +88,14 @@ struct SimReport {
   /// met every deadline (the paper's lossless-link guarantee).
   Time max_lateness = 0;
   InvariantViolations invariants; ///< recorded by the InvariantMonitor
+
+  /// Tallies `run` as offered, where it enters the system (the pipeline's
+  /// admission, the tandem's source). Inline: it runs once per arrival.
+  void add_offered(const SliceRun& run) {
+    offered.add(run.total_bytes(), run.total_weight(), run.count);
+    offered_by_type[static_cast<std::size_t>(run.frame_type)].add(
+        run.total_bytes(), run.total_weight(), run.count);
+  }
 
   /// The paper's weighted loss (Sect. 5): lost weight / offered weight.
   double weighted_loss() const;

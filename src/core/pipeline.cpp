@@ -39,8 +39,9 @@ void Pipeline::begin(Time t, ScheduleRecorder* rec) {
 }
 
 void Pipeline::admit(const SliceRun& run, std::size_t run_index) {
+  report_.add_offered(run);
   client_.admit(run, run_index);
-  server_.admit(run, run_index);
+  server_.admit(run, run_index, run.count);
   record_.arrived += run.total_bytes();
 }
 

@@ -50,18 +50,16 @@ class Pipeline {
   /// `link` must not be null.
   Pipeline(ServerConfig server, std::unique_ptr<DropPolicy> policy,
            std::unique_ptr<Link> link, Client client);
-  // The server's buffer observer points back into the server: pinned.
-  Pipeline(const Pipeline&) = delete;
-  Pipeline& operator=(const Pipeline&) = delete;
 
   /// Opens step t: the NACKs due at t reach the server and pro-active drops
   /// act on the pre-arrival state. `rec`, when given, receives this step's
   /// per-run outcomes.
   void begin(Time t, ScheduleRecorder* rec = nullptr);
 
-  /// Admits the arrival `run` under identity `run_index` into the client
-  /// ledger and the server buffer, in index order and only while
-  /// client().can_admit(). `run` must stay put until the run retires.
+  /// Admits the arrival `run` under identity `run_index`: tallies it as
+  /// offered and opens it in the client ledger and the server buffer, in
+  /// index order and only while client().can_admit(). `run` must stay put
+  /// until the run retires.
   void admit(const SliceRun& run, std::size_t run_index);
 
   /// Closes the step: retransmissions, Eq. (3) shed, Eq. (2) send, link

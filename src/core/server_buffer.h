@@ -10,12 +10,17 @@
 // cannot be dropped after it starts being transmitted". The buffer tracks
 // how many bytes of the head slice have entered the link (`head_sent`) and
 // refuses to drop that slice.
+//
+// Every drop also lands in a drop log of (run, run index, slices) victims.
+// Policies only pick victims; the owning server (core/generic_algorithm.h)
+// books the log into its report and client ledger after each policy call
+// and clears it, so loss accounting never depends on which policy ran.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/slice.h"
@@ -59,6 +64,13 @@ struct DropResult {
   std::int64_t slices = 0;
 };
 
+/// One drop_slices() victim: `slices` whole slices of run `run`.
+struct DroppedSlices {
+  const SliceRun* run = nullptr;
+  std::size_t run_index = 0;
+  std::int64_t slices = 0;
+};
+
 class ServerBuffer {
  public:
   ServerBuffer() = default;
@@ -69,12 +81,17 @@ class ServerBuffer {
   bool empty() const { return occupancy_ == 0; }
   std::size_t chunk_count() const { return chunks_.size(); }
 
-  /// Pre-sizes the chunk ring so steady-state operation never reallocates.
-  /// The server sizes it from its configuration (DESIGN.md Sect. 12): the
-  /// buffer holds at most B + A(t) bytes before a shed, every chunk holds at
-  /// least one byte, and chunks of the same run merge, so the count of
-  /// arrival runs resident at once is a safe upper bound in practice.
-  void reserve_chunks(std::size_t n) { chunks_.reserve(n); }
+  /// Pre-sizes the chunk ring and the drop log so steady-state operation
+  /// never reallocates. The server sizes them from its configuration
+  /// (DESIGN.md Sect. 12): the buffer holds at most B + A(t) bytes before a
+  /// shed, every chunk holds at least one byte, and chunks of the same run
+  /// merge, so the count of arrival runs resident at once is a safe upper
+  /// bound in practice. A shed takes each chunk as a victim at most once,
+  /// so the log between two clears needs no more entries than chunks.
+  void reserve_chunks(std::size_t n) {
+    chunks_.reserve(n);
+    drop_log_.reserve(n);
+  }
 
   /// Chunk at FIFO position i (0 = head / oldest).
   const Chunk& chunk(std::size_t i) const {
@@ -105,10 +122,10 @@ class ServerBuffer {
                             .slices = count, .head_sent = 0});
   }
 
-  /// Drops `k` slices from chunk i. Requires 1 <= k <= droppable_slices(i).
-  /// Returns the freed bytes/weight. Chunk indices of later chunks shift
-  /// down if the chunk empties; callers iterating while dropping must
-  /// re-read chunk_count().
+  /// Drops `k` slices from chunk i and appends the victim to the drop log.
+  /// Requires 1 <= k <= droppable_slices(i). Returns the freed bytes/weight.
+  /// Chunk indices of later chunks shift down if the chunk empties; callers
+  /// iterating while dropping must re-read chunk_count().
   DropResult drop_slices(std::size_t i, std::int64_t k) {
     RTS_EXPECTS(i < chunks_.size());
     RTS_EXPECTS(k >= 1 && k <= droppable_slices(i));
@@ -119,7 +136,8 @@ class ServerBuffer {
                            .slices = k};
     occupancy_ -= freed.bytes;
     RTS_ASSERT(occupancy_ >= 0);
-    if (on_drop_) on_drop_(*c.run, c.run_index, k);
+    drop_log_.push_back(
+        DroppedSlices{.run = c.run, .run_index = c.run_index, .slices = k});
     if (c.slices == 0) {
       RTS_ASSERT(c.head_sent == 0);  // droppable_slices() protects the head
       chunks_.erase(i);
@@ -170,15 +188,11 @@ class ServerBuffer {
     return !chunks_.empty() && chunks_.front().head_sent > 0;
   }
 
-  /// Observer invoked on every drop_slices() with the victim run and slice
-  /// count. The owning server uses it for loss accounting, so policies never
-  /// handle bookkeeping.
-  using DropObserver =
-      std::function<void(const SliceRun&, std::size_t run_index,
-                         std::int64_t slices)>;
-  void set_drop_observer(DropObserver observer) {
-    on_drop_ = std::move(observer);
-  }
+  /// The drop_slices() victims since the last clear_drop_log(), in drop
+  /// order. The owning server books and clears them after every policy
+  /// call, so policies never handle bookkeeping.
+  std::span<const DroppedSlices> drop_log() const { return drop_log_; }
+  void clear_drop_log() { drop_log_.clear(); }
 
  private:
   /// Chunk records live in a ring-buffer arena indexed by FIFO position:
@@ -187,7 +201,7 @@ class ServerBuffer {
   /// object. See DESIGN.md Sect. 12 for the layout and capacity formula.
   RingBuffer<Chunk> chunks_;
   Bytes occupancy_ = 0;
-  DropObserver on_drop_;
+  std::vector<DroppedSlices> drop_log_;
 };
 
 }  // namespace rtsmooth

@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
@@ -42,11 +43,15 @@ void FlightRecorder::record(const StepRecord& record) {
   next_ = (next_ + 1) % ring_.size();
   if (filled_ < ring_.size()) ++filled_;
   ++steps_recorded_;
-  if (config_.step_trigger && config_.step_trigger(record)) {
-    Json trigger = Json::object();
-    trigger["type"] = "step_trigger";
-    trigger["t"] = record.t;
-    capture(std::move(trigger));
+}
+
+void FlightRecorder::record_idle(std::int64_t t0, std::int64_t t1,
+                                 bool link_idle) {
+  const std::int64_t first =
+      std::max(t0, t1 - static_cast<std::int64_t>(ring_.size()));
+  steps_recorded_ += first - t0;
+  for (std::int64_t t = first; t < t1; ++t) {
+    record(StepRecord{.t = t, .link_idle = link_idle});
   }
 }
 

@@ -1,10 +1,11 @@
 // Flight recorder: a fixed-size ring of compact per-step records that turns
 // a bare invariant-violation counter into a causal story. The simulator
 // appends one StepRecord per step (occupancies, byte flows, link state, the
-// step's drop decision); when a trigger fires — an InvariantMonitor
-// violation, or a caller-supplied per-step predicate — the recorder freezes
-// the last-N-step window together with the trigger event into a
-// self-contained `rtsmooth-incident-v1` JSON document.
+// step's drop decision), and a quiescent span it skips as one idle call;
+// when a violation fires (an InvariantMonitor check, or any owner calling
+// on_violation()) the recorder freezes the last-N-step window together with
+// the trigger event into a self-contained `rtsmooth-incident-v1` JSON
+// document.
 //
 // Contracts (DESIGN.md Sect. 11):
 //
@@ -24,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,11 +72,6 @@ struct FlightRecorderConfig {
   /// step, the common faulty-link shape — would otherwise burn the whole
   /// incident budget on near-identical windows. 0 captures every trigger.
   std::int64_t cooldown = 0;
-  /// Optional custom trigger, checked against every record() with the new
-  /// record already in the window. Sweeps may invoke cell recorders on any
-  /// thread, so the predicate must be safe to call concurrently (stateless
-  /// lambdas qualify).
-  std::function<bool(const StepRecord&)> step_trigger;
 };
 
 class FlightRecorder {
@@ -95,9 +90,14 @@ class FlightRecorder {
   /// index so a merged incident still names its grid cell).
   void annotate(std::string_view key, Json value);
 
-  /// Appends to the ring (overwriting the oldest record once full), then
-  /// evaluates the custom step trigger.
+  /// Appends to the ring, overwriting the oldest record once full.
   void record(const StepRecord& record);
+
+  /// Records the quiescent steps [t0, t1) as zero records carrying
+  /// `link_idle`, exactly as record() per step would, in O(min(t1 - t0,
+  /// window)): only the last `window` of them can stay in the ring, so the
+  /// rest are counted in steps_recorded() without being written.
+  void record_idle(std::int64_t t0, std::int64_t t1, bool link_idle);
 
   /// Violation hook called by faults::InvariantMonitor through the
   /// Telemetry handle. Captures an incident when trigger_on_violation and

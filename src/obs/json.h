@@ -58,7 +58,8 @@ class Json {
 
   /// Parses one JSON value (UTF-8, RFC 8259 subset: no duplicate-key
   /// detection). Throws std::runtime_error with the byte offset of the
-  /// first error; trailing non-whitespace after the value is an error too.
+  /// first error; trailing non-whitespace after the value is an error too,
+  /// and so is nesting objects and arrays more than 128 levels deep.
   static Json parse(std::string_view text);
 
   bool is_null() const { return kind_ == Kind::Null; }

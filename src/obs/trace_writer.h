@@ -1,8 +1,8 @@
 // Structured event tracer: one JSON object per line (JSONL), flushed on
 // close. The simulator emits `config` / `step` / `violation` / `run` events
-// through this — a machine-readable superset of the CSV step trace
-// (sim/step_trace.h) — and anything else holding a Telemetry handle may
-// append its own event kinds.
+// through this — the step event carries the per-step sets A(t), S(t), R(t),
+// P(t), D(t) as byte counts and both buffer occupancies — and anything else
+// holding a Telemetry handle may append its own event kinds.
 
 #pragma once
 

@@ -122,6 +122,11 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
   obs::Registry* reg = config_.telemetry.registry;
   obs::TraceWriter* tracer = config_.telemetry.tracer;
   obs::FlightRecorder* recorder = config_.telemetry.recorder;
+  // The schedule recorder keeps per-step sets only at RunsAndSteps.
+  ScheduleRecorder* const step_rec =
+      rec != nullptr && rec->level() == ScheduleRecorder::Level::RunsAndSteps
+          ? rec
+          : nullptr;
   obs::Histogram* sojourn_hist = nullptr;
   obs::Histogram* burst_hist = nullptr;
   if (reg != nullptr) {
@@ -217,15 +222,20 @@ SimReport SmoothingSimulator::run(ScheduleRecorder* rec) {
     // skipped slots would have issued, so RNG consumption and burst-length
     // records stay draw-for-draw identical, and back-fills the registry.
     pipeline_.skip(t0, t1);
-    if (rec == nullptr && tracer == nullptr && recorder == nullptr) return;
-    // Observers see every slot: one zero record per skipped slot, so step
-    // traces, schedule recordings and incident windows match a run that
-    // steps through the span.
+    if (step_rec == nullptr && tracer == nullptr && recorder == nullptr) {
+      return;
+    }
+    // Observers see every slot as a zero record, so step traces, schedule
+    // recordings and incident windows match a run that steps through the
+    // span. The flight recorder keeps only its last window and takes the
+    // span in one call; the step sets and the tracer, whose consumers read
+    // every slot, get one record per slot.
     const bool link_idle = link.idle();  // constant across the span
+    if (recorder != nullptr) recorder->record_idle(t0, t1, link_idle);
+    if (step_rec == nullptr && tracer == nullptr) return;
     for (Time s = t0; s < t1; ++s) {
       const obs::StepRecord idle{.t = s, .link_idle = link_idle};
-      if (rec != nullptr) rec->record_step(idle);
-      if (recorder != nullptr) recorder->record(idle);
+      if (step_rec != nullptr) step_rec->record_step(idle);
       if (tracer != nullptr) tracer->write(step_event(idle));
     }
   };

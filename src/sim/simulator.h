@@ -62,8 +62,8 @@ struct SimConfig {
   /// Telemetry handle, null by default (instrumentation costs nothing; see
   /// obs/telemetry.h). With a registry the run fills counters and the
   /// occupancy / sojourn / stall / drop-burst histograms; with a tracer it
-  /// emits one JSONL event per step plus config/violation/run events — a
-  /// machine-readable superset of the CSV step trace. With a flight
+  /// emits one JSONL event per step (the step record's byte flows and
+  /// occupancies) plus config/violation/run events. With a flight
   /// recorder (obs/flight_recorder.h) every step lands in its ring and an
   /// invariant violation freezes the trailing window into an
   /// `rtsmooth-incident-v1` report.

@@ -1,11 +1,15 @@
 // Multi-hop (tandem) smoothing — the internetwork setting of Rexford &
 // Towsley [15] in the paper's related work. A stream crosses a chain of
 // store-and-forward hops, each with its own buffer, link rate and
-// propagation delay, each running the generic algorithm (work-conserving
-// FIFO, Eq. (3) drops via a DropPolicy). The client plays frame k at
+// propagation delay. Every hop is a SmoothingServer (the generic algorithm,
+// Eqs. (2)/(3), core/generic_algorithm.h) feeding its own FixedDelayLink,
+// with its own clone of the drop policy, so pro-active policies drop early
+// at every hop. All hops book their drops into the one end client's ledger
+// and the one end-to-end report. The client plays frame k at
 // k + sum(P_i) + D, where the end-to-end smoothing delay D must cover the
 // worst-case queueing along the path: D = sum(ceil(B_i / R_i)) — the
-// per-hop version of the B = D*R law.
+// per-hop version of the B = D*R law. With one hop the tandem is the
+// simulator's own step (tests pin whole-report equality).
 //
 // Restricted to unit-slice streams: inter-hop forwarding splits data at
 // byte granularity, and with unit slices a partially-forwarded slice cannot
@@ -25,11 +29,10 @@
 #include <string>
 #include <vector>
 
-#include "core/client.h"
 #include "core/drop_policy.h"
+#include "core/generic_algorithm.h"
 #include "core/link.h"
 #include "core/metrics.h"
-#include "core/server_buffer.h"
 #include "core/slice.h"
 
 namespace rtsmooth::tandem {
@@ -42,7 +45,7 @@ struct HopConfig {
 
 struct TandemReport {
   SimReport end_to_end;            ///< offered / played / client tallies
-  std::vector<Tally> hop_drops;    ///< bytes shed at each hop
+  std::vector<Tally> hop_drops;    ///< each hop server's dropped()
   Time playout_offset = 0;         ///< sum(P_i) + D actually used
   Time smoothing_delay = 0;        ///< the D component
 };
@@ -56,15 +59,15 @@ class TandemSimulator {
                   const DropPolicy& policy, Time smoothing_delay = -1,
                   Bytes client_buffer = -1);
 
+  /// Steps every hop in path order, forwarding each hop's delivery into the
+  /// next hop's server in the same step, until the path and the client
+  /// drain. Call once.
   TandemReport run();
 
  private:
   struct Hop {
-    HopConfig config;
-    ServerBuffer buffer;
-    std::unique_ptr<DropPolicy> policy;
+    SmoothingServer server;
     std::unique_ptr<FixedDelayLink> link;
-    Tally dropped;
   };
 
   const Stream* stream_;

@@ -12,7 +12,9 @@
 //   - the Registry snapshot, to_json(/*include_timers=*/false) — the
 //     byte-identity determinism unit (span timers measure wall clock and
 //     are quarantined, DESIGN.md Sect. 8),
-//   - the FlightRecorder incident list plus its step/trigger counters,
+//   - the FlightRecorder incident list, its step/trigger counters and its
+//     ring at the end of the run (a skipping run hands the recorder each
+//     span as one record_idle call),
 //   - the per-step sets of a RunsAndSteps ScheduleRecorder, which must
 //     agree with the same run's JSONL step events on every field the two
 //     share — the step observation the timing-lemma tests read.
@@ -99,6 +101,7 @@ struct EngineArtifacts {
   std::string incidents;  ///< incident documents, one JSON line each
   std::int64_t steps_recorded = 0;
   std::int64_t triggers_total = 0;
+  std::vector<obs::StepRecord> window;  ///< the recorder's ring at the end
   std::vector<StepSets> step_sets;  ///< ScheduleRecorder, RunsAndSteps
 };
 
@@ -150,6 +153,7 @@ inline EngineArtifacts run_engine(const Stream& stream,
   out.incidents = std::move(incidents).str();
   out.steps_recorded = recorder.steps_recorded();
   out.triggers_total = recorder.triggers_total();
+  out.window = recorder.window();
   return out;
 }
 
@@ -253,8 +257,8 @@ inline void expect_step_sets_match_trace(std::string_view label,
 }
 
 /// Stepping vs skipping: full-artifact byte-identity (report, trace,
-/// registry snapshot, incident list and recorder counters), after checking
-/// each leg's recorder steps against its own trace.
+/// registry snapshot, incident list, recorder counters and final ring),
+/// after checking each leg's recorder steps against its own trace.
 inline void expect_legs_identical(const EngineArtifacts& stepping,
                                   const EngineArtifacts& skipping,
                                   const std::string& reproducer) {
@@ -273,6 +277,9 @@ inline void expect_legs_identical(const EngineArtifacts& stepping,
       << reproducer;
   EXPECT_EQ(stepping.triggers_total, skipping.triggers_total)
       << "flight-recorder trigger count mismatch (stepping vs skipping)\n"
+      << reproducer;
+  EXPECT_TRUE(stepping.window == skipping.window)
+      << "flight-recorder window mismatch (stepping vs skipping)\n"
       << reproducer;
 }
 

@@ -4,16 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <stdexcept>
-
 #include "alternatives/strategies.h"
 #include "lossless/cumulative.h"
 #include "lossless/delay_optimizer.h"
 #include "policies/policy_factory.h"
 #include "sim/simulator.h"
-#include "sim/step_trace.h"
 #include "sim/sweep.h"
 #include "trace/slicer.h"
 #include "trace/stock_clips.h"
@@ -121,30 +116,6 @@ TEST(Consistency, StepTraceAccountsEveryByte) {
   EXPECT_EQ(sent, delivered);  // the link is lossless
   EXPECT_EQ(played, report.played.bytes);
   EXPECT_EQ(arrived, played + dropped);
-
-  // And the CSV export round-trips the row count.
-  const std::string path = ::testing::TempDir() + "rtsmooth_steps.csv";
-  sim::write_step_trace(path, rec);
-  std::ifstream in(path);
-  std::size_t lines = 0;
-  for (std::string line; std::getline(in, line);) ++lines;
-  EXPECT_EQ(lines, rec.steps().size() + 1);  // header + rows
-  std::remove(path.c_str());
-}
-
-TEST(Consistency, StepTraceRejectsRunsOnlyRecorder) {
-  // A RunsOnly recorder has no per-step sets; exporting it must throw
-  // rather than abort or silently write an empty file.
-  const Stream s = stream_of_frames(frames_of(30));
-  const Plan plan = Planner::from_buffer_rate(
-      2 * s.max_frame_bytes(), sim::relative_rate(s, 1.0));
-  sim::SmoothingSimulator simulator(s, sim::SimConfig::balanced(plan),
-                                    make_policy("greedy"));
-  ScheduleRecorder rec(s.run_count());  // Level::RunsOnly
-  simulator.run(&rec);
-  const std::string path = ::testing::TempDir() + "rtsmooth_no_steps.csv";
-  EXPECT_THROW(sim::write_step_trace(path, rec), std::invalid_argument);
-  EXPECT_FALSE(std::ifstream(path).good()) << "no file should be created";
 }
 
 TEST(Consistency, StockClipVarianceOrdering) {

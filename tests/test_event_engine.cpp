@@ -26,6 +26,7 @@
 #include "core/schedule.h"
 #include "differential.h"
 #include "faults/fault_links.h"
+#include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "policies/policy_factory.h"
 #include "random_instances.h"
@@ -152,9 +153,10 @@ TEST(SteppingLeg, PollsTheLinkAtEverySlot) {
   EXPECT_LT(skipped_polls, skipped.steps);
 }
 
-/// Two runs a trillion slots apart: the gap must be absorbed as one span.
-/// Walking it slot by slot would take hours; the ctest TIMEOUT on this
-/// binary turns that into a failure instead of a hang.
+/// Two runs a trillion slots apart: the gap must be absorbed as one span,
+/// with no observer, a registry, a flight recorder or a runs-only schedule
+/// recorder attached. Walking it slot by slot would take hours; the ctest
+/// TIMEOUT on this binary turns that into a failure instead of a hang.
 TEST(QuiescentSpans, TrillionSlotGapIsAbsorbedNotWalked) {
   constexpr Time kLastArrival = 1'000'000'000'000;
   const Stream stream = Stream::from_runs(
@@ -162,19 +164,43 @@ TEST(QuiescentSpans, TrillionSlotGapIsAbsorbedNotWalked) {
        SliceRun{.arrival = kLastArrival, .count = 6}});
   const sim::SimConfig base =
       sim::SimConfig::balanced(Planner::from_delay_rate(3, 2));
+  enum class Observer { None, Registry, Recorder, RunsOnly };
   for (const char* policy : {"tail-drop", "greedy"}) {
-    for (const bool with_registry : {false, true}) {
+    for (const Observer observer : {Observer::None, Observer::Registry,
+                                    Observer::Recorder, Observer::RunsOnly}) {
       obs::Registry registry;
+      obs::FlightRecorder recorder;
+      ScheduleRecorder runs(stream.run_count());
       sim::SimConfig config = base;
-      if (with_registry) config.telemetry.registry = &registry;
-      const SimReport report = sim::simulate(stream, config, policy);
+      if (observer == Observer::Registry) config.telemetry.registry = &registry;
+      if (observer == Observer::Recorder) config.telemetry.recorder = &recorder;
+      sim::SmoothingSimulator simulator(stream, config, make_policy(policy));
+      const SimReport report =
+          simulator.run(observer == Observer::RunsOnly ? &runs : nullptr);
       EXPECT_TRUE(report.conserves()) << policy;
       EXPECT_EQ(report.played.bytes, 12) << policy;
       EXPECT_EQ(report.steps, kLastArrival + config.link_delay +
                                   config.smoothing_delay + 1)
           << policy;
-      if (with_registry) {
+      if (observer == Observer::Registry) {
         EXPECT_EQ(registry.counter("sim.steps").value(), report.steps);
+      }
+      if (observer == Observer::Recorder) {
+        // Every slot counted, and the ring holds the run's last steps.
+        EXPECT_EQ(recorder.steps_recorded(), report.steps) << policy;
+        const std::vector<obs::StepRecord> window = recorder.window();
+        ASSERT_EQ(window.size(), recorder.config().window) << policy;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          EXPECT_EQ(window[i].t, report.steps -
+                                     static_cast<Time>(window.size() - i))
+              << policy;
+        }
+        EXPECT_EQ(window.back().played, 6) << policy;  // the last frame
+        EXPECT_TRUE(recorder.incidents().empty()) << policy;
+      }
+      if (observer == Observer::RunsOnly) {
+        EXPECT_EQ(runs.run(1).played, 6) << policy;
+        EXPECT_EQ(runs.run(1).play_time, report.steps - 1) << policy;
       }
     }
   }

@@ -78,23 +78,43 @@ TEST(FlightRecorderRing, ZeroWindowThrows) {
 
 // ------------------------------------------------------------- triggers
 
-TEST(FlightRecorderTrigger, CustomStepTriggerCapturesTheWindow) {
-  FlightRecorderConfig config{.window = 4};
-  config.step_trigger = [](const StepRecord& record) {
-    return record.sent >= 50;
-  };
-  FlightRecorder recorder(config);
-  for (std::int64_t t = 0; t <= 5; ++t) recorder.record(step_at(t));
+TEST(FlightRecorderTrigger, IdleSpanFillsTheCapturedWindow) {
+  // record_idle() leaves the ring and the step count exactly as one zero
+  // record per slot would, for spans shorter and longer than the window.
+  for (const std::int64_t span : {1, 4, 5, 1000}) {
+    FlightRecorder idle(FlightRecorderConfig{.window = 4});
+    FlightRecorder per_slot(FlightRecorderConfig{.window = 4});
+    for (std::int64_t t = 0; t < 3; ++t) {
+      idle.record(step_at(t));
+      per_slot.record(step_at(t));
+    }
+    idle.record_idle(3, 3 + span, false);
+    for (std::int64_t t = 3; t < 3 + span; ++t) {
+      per_slot.record(StepRecord{.t = t, .link_idle = false});
+    }
+    EXPECT_EQ(idle.window(), per_slot.window()) << "span " << span;
+    EXPECT_EQ(idle.steps_recorded(), 3 + span) << "span " << span;
+    EXPECT_EQ(per_slot.steps_recorded(), 3 + span) << "span " << span;
+  }
+  // A trillion-slot span costs one window, and a capture after it freezes
+  // the span's last slots.
+  constexpr std::int64_t kEnd = 1'000'000'000'000;
+  FlightRecorder recorder(FlightRecorderConfig{.window = 4});
+  recorder.record(step_at(0));
+  recorder.record_idle(1, kEnd, true);
+  recorder.on_violation(kEnd - 1, "client_underflow", 1);
   ASSERT_EQ(recorder.incidents().size(), 1u);
   const Json& incident = recorder.incidents().front();
-  EXPECT_EQ(incident.at("schema").as_string(), "rtsmooth-incident-v1");
-  EXPECT_EQ(incident.at("trigger").at("type").as_string(), "step_trigger");
-  EXPECT_EQ(incident.at("trigger").at("t").as_int(), 5);
-  // The triggering record is already in the captured window.
+  EXPECT_EQ(incident.at("steps_recorded").as_int(), kEnd);
+  EXPECT_TRUE(incident.at("truncated").as_bool());
   const Json& window = incident.at("window");
   ASSERT_EQ(window.size(), 4u);
-  EXPECT_EQ(window.at(3).at("t").as_int(), 5);
-  EXPECT_TRUE(incident.at("truncated").as_bool());
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    EXPECT_EQ(window.at(i).at("t").as_int(),
+              kEnd - 4 + static_cast<std::int64_t>(i));
+    EXPECT_EQ(window.at(i).at("sent").as_int(), 0);
+    EXPECT_TRUE(window.at(i).at("link_idle").as_bool());
+  }
 }
 
 TEST(FlightRecorderTrigger, ViolationHookCapturesWithKindAndMagnitude) {

@@ -543,11 +543,7 @@ TEST(GatewayValidation, BadConfigsAndSpecsThrow) {
 }
 
 TEST(GatewayTelemetry, FlightRecorderCapturesDropIncidents) {
-  obs::FlightRecorderConfig rec_config{.window = 16};
-  rec_config.step_trigger = [](const obs::StepRecord& record) {
-    return record.dropped_server > 0;
-  };
-  obs::FlightRecorder recorder(rec_config);
+  obs::FlightRecorder recorder(obs::FlightRecorderConfig{.window = 16});
 
   // One stream with B = 4 facing 16 bytes/step on a 4-byte link: drops
   // every step from the second on.
@@ -561,14 +557,30 @@ TEST(GatewayTelemetry, FlightRecorderCapturesDropIncidents) {
                            .deadline = 1,
                            .weight_class = 0,
                            .arrivals = ArrivalModel::constant(16)});
-  gw.run(8);
+  // The owner turns a dropping step into an incident through the
+  // violation hook, after the step's record is in the ring.
+  for (int i = 0; i < 8; ++i) {
+    gw.step();
+    const obs::StepRecord last = recorder.window().back();
+    if (last.dropped_server > 0) {
+      recorder.on_violation(last.t, "gateway.drop", last.dropped_server);
+    }
+  }
 
   ASSERT_FALSE(recorder.incidents().empty());
   const obs::Json& incident = recorder.incidents().front();
-  EXPECT_EQ(incident.at("trigger").at("type").as_string(), "step_trigger");
+  EXPECT_EQ(incident.at("trigger").at("type").as_string(), "violation");
+  EXPECT_EQ(incident.at("trigger").at("kind").as_string(), "gateway.drop");
   EXPECT_EQ(incident.at("context").at("component").as_string(), "gateway");
   EXPECT_EQ(incident.at("context").at("sharing").as_string(),
             "weighted-share");
+  // The window ends at the dropping step.
+  const obs::Json& window = incident.at("window");
+  ASSERT_GT(window.size(), 0u);
+  const obs::Json& last = window.at(window.size() - 1);
+  EXPECT_EQ(last.at("t").as_int(),
+            incident.at("trigger").at("t").as_int());
+  EXPECT_GT(last.at("dropped_server").as_int(), 0);
 }
 
 TEST(GatewayTelemetry, CountersMatchTheReport) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <vector>
 
 #include "core/generic_algorithm.h"
 #include "core/pipeline.h"
@@ -19,8 +20,8 @@ namespace {
 using testing::stream_of;
 using testing::units;
 
-/// The server under test inside the shared step (core/pipeline.h), the
-/// only way to run it: a one-step lossless link and an unbounded client
+/// The server under test inside the shared step (core/pipeline.h), as the
+/// simulator runs it: a one-step lossless link and an unbounded client
 /// whose playout lies past every test's horizon, so the client only keeps
 /// the per-run ledger the server books its drops into.
 struct ServerRig {
@@ -153,7 +154,7 @@ TEST(GenericAlgorithm, DropCountIsPolicyIndependentForUnitSlices) {
 
 TEST(GenericAlgorithm, EarlyDropsAreAccountedToTheReport) {
   // The proactive policy drops before arrivals; those drops must flow
-  // through the same observer-based accounting as overflow drops.
+  // through the same drop-log accounting as overflow drops.
   const Stream s = stream_of({units(0, 8, 1.0), units(1, 2, 9.0)});
   auto policy = std::make_unique<ProactiveThresholdPolicy>(
       ProactiveConfig{.watermark = 0.25, .value_floor = 2.0});
@@ -169,6 +170,46 @@ TEST(GenericAlgorithm, EarlyDropsAreAccountedToTheReport) {
   EXPECT_DOUBLE_EQ(rig.report().dropped_server.weight, 5.0);
   EXPECT_EQ(rec.run(0).dropped_server, 5);
   EXPECT_EQ(rec.run(1).dropped_server, 0);  // the dear slices survive
+}
+
+TEST(GenericAlgorithm, MovedServerBooksItsDrops) {
+  // A server is a plain value: moved (here by std::vector growth), it still
+  // books its sheds into the step's report, its own tally and the client
+  // ledger, as a tandem's hops rely on.
+  const Stream s = stream_of({units(0, 6)});
+  const SliceRun& run = s.runs()[0];
+  std::vector<SmoothingServer> servers;
+  servers.reserve(1);
+  servers.emplace_back(ServerConfig{.buffer = 2, .rate = 1},
+                       std::make_unique<TailDropPolicy>());
+  servers.emplace_back(ServerConfig{.buffer = 2, .rate = 1},
+                       std::make_unique<TailDropPolicy>());  // moves [0]
+  SmoothingServer& server = servers.front();
+  Client client(s.run_count(), Client::kUnbounded, /*playout_offset=*/3);
+  SimReport report;
+  // Step 0: 6 arrive, S = 1, D = 6 - 1 - 2 = 3. Steps 1-2 send the rest
+  // over a zero-delay hand-off, and frame 0 plays at step 3.
+  for (Time t = 0; t <= 3; ++t) {
+    server.begin_step(t, {}, report, client, nullptr);
+    if (t == 0) {
+      report.add_offered(run);
+      client.admit(run, 0);
+      server.admit(run, 0, run.count);
+    }
+    std::vector<SentPiece> sent;
+    server.finish_step(sent);
+    client.deliver(t, sent, report, nullptr);
+    client.play(t, report, nullptr);
+  }
+  EXPECT_EQ(report.dropped_server.bytes, 3);
+  EXPECT_EQ(server.dropped(), report.dropped_server);
+  EXPECT_EQ(report.played.bytes, 3);
+  // The run retired at its playout step: the ledger holds the 3 dropped
+  // bytes as terminal, so nothing is left owing.
+  EXPECT_EQ(client.live_runs(), 0);
+  client.finalize(report);
+  EXPECT_EQ(report.residual.bytes, 0);
+  EXPECT_TRUE(report.conserves());
 }
 
 }  // namespace

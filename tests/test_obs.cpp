@@ -130,6 +130,38 @@ TEST(JsonParse, ErrorsNameTheByteOffset) {
   EXPECT_THROW(Json::parse("truish"), std::runtime_error);
 }
 
+TEST(JsonParse, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // 100k levels would recurse the stack away; the parser stops at level
+  // 129 and names the byte where it did.
+  const auto expect_depth_error = [](const std::string& text,
+                                     const std::string& offset) {
+    try {
+      Json::parse(text);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("nesting deeper than 128"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("byte " + offset), std::string::npos) << what;
+    }
+  };
+  expect_depth_error(std::string(100000, '['), "128");
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  expect_depth_error(objects, "640");  // 128 levels of 5 bytes
+}
+
+TEST(JsonParse, NestingAtTheCapParses) {
+  const std::string at_cap = std::string(128, '[') + std::string(128, ']');
+  EXPECT_EQ(Json::parse(at_cap).dump(), at_cap);
+  std::string objects;
+  for (int i = 0; i < 127; ++i) objects += "{\"a\":";
+  objects += "{}" + std::string(127, '}');
+  EXPECT_EQ(Json::parse(objects).dump(), objects);
+  const std::string past_cap = "[" + at_cap + "]";
+  EXPECT_THROW(Json::parse(past_cap), std::runtime_error);
+}
+
 TEST(JsonParse, AccessorsProbeAndThrow) {
   const Json doc = Json::parse("{\"a\":1}");
   ASSERT_NE(doc.find("a"), nullptr);

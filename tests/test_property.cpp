@@ -32,6 +32,7 @@
 #include "policies/policy_factory.h"
 #include "random_instances.h"
 #include "sim/simulator.h"
+#include "tandem/tandem.h"
 #include "util/rng.h"
 
 namespace rtsmooth {
@@ -626,6 +627,79 @@ TEST(PropertyFuzz, LiveEngineMatchesSimulator) {
             return;
           }
         }
+      }
+    }
+  }
+}
+
+/// A one-hop tandem is the simulator's server -> link -> client step run
+/// by TandemSimulator's hop loop, so it must reproduce sim::simulate as a
+/// whole report on random unit-slice streams and random Bs, Bc, R, D, P,
+/// for every policy. Balanced configurations (Bs = Bc = R*D) compare every
+/// field; unbalanced ones every field but the invariant tallies, which
+/// only the simulator's InvariantMonitor keeps.
+TEST(PropertyFuzz, TandemSingleHopMatchesSimulator) {
+  const int rounds = prop_iters();
+  const std::vector<std::string> policies = known_policies();
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t seed = 0x7a4de900 + static_cast<std::uint64_t>(round);
+    Rng rng(seed);
+    sim::SimConfig config;
+    config.rate = rng.uniform_int(1, 8);
+    config.smoothing_delay = rng.uniform_int(0, 4);
+    config.link_delay = rng.uniform_int(0, 3);
+    const bool balanced = config.smoothing_delay > 0 && rng.bernoulli(0.5);
+    if (balanced) {
+      config.server_buffer = config.rate * config.smoothing_delay;
+      config.client_buffer = config.server_buffer;
+    } else {
+      config.server_buffer = rng.uniform_int(1, 4 * config.rate);
+      config.client_buffer = rng.uniform_int(1, 4 * config.rate);
+    }
+
+    // Unit-slice runs of mixed types and weights, sometimes several per
+    // step, with gaps between arrival steps.
+    std::vector<SliceRun> runs;
+    Time arrival = rng.uniform_int(0, 2);
+    const std::int64_t frames = rng.uniform_int(1, 30);
+    for (std::int64_t f = 0; f < frames; ++f) {
+      const std::int64_t per_step = rng.bernoulli(0.2) ? 2 : 1;
+      for (std::int64_t r = 0; r < per_step; ++r) {
+        runs.push_back(SliceRun{
+            .arrival = arrival,
+            .slice_size = 1,
+            .count = rng.uniform_int(1, 3 * config.rate),
+            .weight = rng.bernoulli(0.2)
+                          ? 0.0
+                          : static_cast<Weight>(rng.uniform_int(1, 12)),
+            .frame_type = static_cast<FrameType>(rng.uniform_int(0, 3)),
+            .frame_index = f});
+      }
+      arrival += rng.uniform_int(1, 3);
+    }
+    const Stream stream = Stream::from_runs(std::move(runs));
+
+    for (const std::string& policy : policies) {
+      const SimReport want = sim::simulate(stream, config, policy);
+      tandem::TandemSimulator tandem(
+          stream,
+          {tandem::HopConfig{.buffer = config.server_buffer,
+                             .rate = config.rate,
+                             .link_delay = config.link_delay}},
+          *make_policy(policy), config.smoothing_delay,
+          config.client_buffer);
+      SimReport got = tandem.run().end_to_end;
+      if (!balanced) got.invariants = want.invariants;
+      const bool ok = got == want;
+      EXPECT_TRUE(ok) << "policy=" << policy
+                      << (balanced ? " balanced" : " unbalanced")
+                      << ": tandem {" << got
+                      << ", max_link=" << got.max_link_bytes_per_step
+                      << "} vs simulator {" << want
+                      << ", max_link=" << want.max_link_bytes_per_step << "}";
+      if (!ok) {
+        dump_reproducer("tandem_" + sanitize(policy), seed, stream, config);
+        return;
       }
     }
   }

@@ -1,5 +1,6 @@
 // Unit tests for the chunked FIFO server buffer: push/merge, FIFO sends
-// across slice boundaries, drop legality and the no-preemption rule.
+// across slice boundaries, drop legality, the no-preemption rule and the
+// drop log.
 
 #include <gtest/gtest.h>
 
@@ -126,21 +127,27 @@ TEST_F(ServerBufferTest, HeadSliceInTransmissionIsProtected) {
   EXPECT_TRUE(buf.head_in_transmission());
 }
 
-TEST_F(ServerBufferTest, DropObserverSeesEveryDrop) {
+TEST_F(ServerBufferTest, DropLogRecordsEveryDrop) {
   ServerBuffer buf;
-  std::int64_t observed = 0;
-  std::size_t last_run = 99;
-  buf.set_drop_observer([&](const SliceRun&, std::size_t run_index,
-                            std::int64_t slices) {
-    observed += slices;
-    last_run = run_index;
-  });
   buf.push(run(0), 0, 5);
   buf.push(run(2), 2, 2);
+  EXPECT_TRUE(buf.drop_log().empty());
   buf.drop_slices(0, 3);
   buf.drop_slices(1, 1);
-  EXPECT_EQ(observed, 4);
-  EXPECT_EQ(last_run, 2u);
+  // One entry per drop_slices() call, in drop order.
+  ASSERT_EQ(buf.drop_log().size(), 2u);
+  EXPECT_EQ(buf.drop_log()[0].run, &run(0));
+  EXPECT_EQ(buf.drop_log()[0].run_index, 0u);
+  EXPECT_EQ(buf.drop_log()[0].slices, 3);
+  EXPECT_EQ(buf.drop_log()[1].run, &run(2));
+  EXPECT_EQ(buf.drop_log()[1].run_index, 2u);
+  EXPECT_EQ(buf.drop_log()[1].slices, 1);
+  buf.clear_drop_log();
+  EXPECT_TRUE(buf.drop_log().empty());
+  // Sends are not drops.
+  std::vector<SentPiece> pieces;
+  buf.send(3, pieces);
+  EXPECT_TRUE(buf.drop_log().empty());
 }
 
 using ServerBufferDeathTest = ServerBufferTest;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "analysis/competitive.h"
 #include "policies/policy_factory.h"
 #include "policies/tail_drop.h"
@@ -30,18 +32,24 @@ Stream clip(std::size_t frames, double rate_fraction, Bytes* rate_out) {
 }
 
 TEST(Tandem, SingleHopMatchesSingleLinkSimulator) {
+  // One hop is the simulator's own server -> link -> client step, so on the
+  // balanced plan the whole reports agree, invariant tallies included (a
+  // balanced lossless run has none), for every policy.
   Bytes rate = 0;
   const Stream s = clip(150, 0.9, &rate);
   const Plan plan = Planner::from_buffer_rate(2 * s.max_frame_bytes(), rate);
-  TandemSimulator tandem(s, {HopConfig{.buffer = plan.buffer,
-                                       .rate = plan.rate,
-                                       .link_delay = 1}},
-                         TailDropPolicy{}, plan.delay, plan.buffer);
-  const TandemReport report = tandem.run();
-  const SimReport single = sim::simulate(s, plan, "tail-drop");
-  EXPECT_EQ(report.end_to_end.played.bytes, single.played.bytes);
-  EXPECT_EQ(report.end_to_end.dropped_server.bytes,
-            single.dropped_server.bytes);
+  for (const std::string& policy : known_policies()) {
+    TandemSimulator tandem(s, {HopConfig{.buffer = plan.buffer,
+                                         .rate = plan.rate,
+                                         .link_delay = 1}},
+                           *make_policy(policy), plan.delay, plan.buffer);
+    const SimReport got = tandem.run().end_to_end;
+    const SimReport want = sim::simulate(s, plan, policy);
+    EXPECT_TRUE(got == want)
+        << policy << ": tandem {" << got
+        << ", max_link=" << got.max_link_bytes_per_step << "} vs simulator {"
+        << want << ", max_link=" << want.max_link_bytes_per_step << "}";
+  }
 }
 
 TEST(Tandem, HomogeneousPathDropsOnlyAtTheFirstHop) {
