@@ -28,6 +28,7 @@
 #include "sim/runner.h"
 #include "trace/slicer.h"
 #include "trace/stock_clips.h"
+#include "util/cli.h"
 #include "util/csv.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -42,12 +43,19 @@ struct BenchOptions {
   unsigned threads = 0;  ///< 0 = RTSMOOTH_THREADS / hardware width
 };
 
+inline constexpr const char* kBenchUsage =
+    "options: [--frames N] [--csv PATH] [--json PATH] [--quick] "
+    "[--threads N]";
+
+/// Parses the common flags. A malformed or out-of-range number exits 2
+/// with a message, like every other binary in the repo.
 inline BenchOptions parse_options(int argc, char** argv) {
   BenchOptions opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--frames" && i + 1 < argc) {
-      opts.frames = static_cast<std::size_t>(std::stoull(argv[++i]));
+      opts.frames = static_cast<std::size_t>(
+          cli::require_int(argv[++i], "--frames", kBenchUsage, 0, 1 << 24));
     } else if (arg == "--csv" && i + 1 < argc) {
       opts.csv_path = argv[++i];
     } else if (arg == "--json" && i + 1 < argc) {
@@ -55,14 +63,14 @@ inline BenchOptions parse_options(int argc, char** argv) {
     } else if (arg == "--quick") {
       opts.quick = true;
     } else if (arg == "--threads" && i + 1 < argc) {
-      opts.threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      opts.threads = static_cast<unsigned>(
+          cli::require_int(argv[++i], "--threads", kBenchUsage, 0, 256));
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: [--frames N] [--csv PATH] [--json PATH] "
-                   "[--quick] [--threads N]\n";
+      std::cout << kBenchUsage << "\n";
       std::exit(0);
     } else {
       std::cerr << "unknown option: " << arg << "\n";
-      std::exit(2);
+      cli::usage_exit(kBenchUsage);
     }
   }
   return opts;

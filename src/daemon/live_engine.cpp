@@ -76,9 +76,6 @@ void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
     // The pipeline still owes bytes from max_live_runs frames ago:
     // backpressure instead of unbounded state.
     st.refused += frame.size;
-    st.refused_frames += 1;
-    st.refused_weight += config_.values.byte_value(frame.type) *
-                         static_cast<double>(frame.size);
     if (refused_frames_ != nullptr) refused_frames_->add(1);
     return;
   }

@@ -70,8 +70,6 @@ struct StepStats {
   obs::StepRecord record;
   std::int64_t admitted = 0;    ///< admitted frames
   Bytes refused = 0;            ///< bytes refused for slot exhaustion
-  std::int64_t refused_frames = 0;
-  double refused_weight = 0.0;
   Bytes floor_shed = 0;     ///< bytes shed by the value floor this step
   double offered_weight = 0.0;  ///< weight admitted this step
   double lost_weight = 0.0;     ///< weight newly in a loss category

@@ -9,6 +9,7 @@
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -16,6 +17,17 @@
 #include "util/assert.h"
 
 namespace rtsmooth::daemon {
+namespace {
+
+/// A counter the daemon creates only when its first event happens, so it
+/// stays out of the registry section until then: its value, or 0 before.
+std::int64_t lazy_counter(const obs::Registry& registry,
+                          std::string_view name) {
+  const auto it = registry.counters().find(name);
+  return it != registry.counters().end() ? it->second.value() : 0;
+}
+
+}  // namespace
 
 const char* to_string(PlanCase c) {
   switch (c) {
@@ -80,7 +92,7 @@ Daemon::Daemon(DaemonOptions options, std::unique_ptr<FrameSource> source,
       link_factory_(std::move(link_factory)),
       recorder_(options_.recorder),
       watchdog_(options_.slo, options_.engine.server_buffer, &recorder_,
-                &registry_),
+                registry_),
       ladder_(options_.ladder) {
   RTS_EXPECTS(source_ != nullptr);
   const std::string err = options_.engine.validate();
@@ -101,20 +113,22 @@ Daemon::Daemon(DaemonOptions options, std::unique_ptr<FrameSource> source,
              !terr.empty()) {
     throw std::invalid_argument("rtsmoothd: invalid timeline config: " + terr);
   }
+  ctr_polled_bytes_ = &registry_.counter("daemon.ingest.polled_bytes");
   ctr_stalled_polls_ = &registry_.counter("daemon.ingest.stalled_polls");
   ctr_ingest_retries_ = &registry_.counter("daemon.ingest.retries");
-  ctr_sighup_ = &registry_.counter("daemon.snapshot.sighup");
-  ctr_polled_bytes_ = &registry_.counter("daemon.ingest.polled_bytes");
-  ctr_playouts_ = &registry_.counter("daemon.playouts");
-  ctr_degraded_playouts_ = &registry_.counter("daemon.degraded_playouts");
-  ctr_slot_refused_bytes_ =
-      &registry_.counter("daemon.admission.slot_refused_bytes");
-  ctr_floor_shed_bytes_ =
-      &registry_.counter("daemon.admission.floor_shed_bytes");
-  ctr_channel_shed_bytes_ =
-      &registry_.counter("daemon.admission.channel_shed_bytes");
   ctr_budget_refused_bytes_ =
       &registry_.counter("daemon.admission.budget_refused_bytes");
+  ctr_channel_shed_bytes_ =
+      &registry_.counter("daemon.admission.channel_shed_bytes");
+  ctr_slot_refused_bytes_ =
+      &registry_.counter("daemon.admission.slot_refused_bytes");
+  ctr_slot_refused_frames_ =
+      &registry_.counter("daemon.admission.slot_refused_frames");
+  ctr_floor_shed_bytes_ =
+      &registry_.counter("daemon.admission.floor_shed_bytes");
+  ctr_playouts_ = &registry_.counter("daemon.playouts");
+  ctr_degraded_playouts_ = &registry_.counter("daemon.degraded_playouts");
+  ctr_sighup_ = &registry_.counter("daemon.snapshot.sighup");
   gauge_truncated_tail_ =
       &registry_.gauge("daemon.ingest.truncated_tail_bytes");
   gauge_rejected_records_ =
@@ -169,7 +183,7 @@ int Daemon::serve() {
   std::ostream* log = options_.log;
   if (stats_ != nullptr) {
     stats_->start();
-    publish_stats();
+    publish(false, true);
     if (log != nullptr) {
       *log << "rtsmoothd: stats endpoint on " << stats_->socket_path()
            << '\n';
@@ -183,6 +197,9 @@ int Daemon::serve() {
          << cfg.rate << " D=" << cfg.smoothing_delay << " P="
          << cfg.link_delay << '\n';
   }
+  const auto due = [this](Time every) {
+    return every > 0 && steps_ % every == 0;
+  };
   while (true) {
     if (stop_signal() != 0) break;
     if (options_.max_steps > 0 && steps_ >= options_.max_steps) break;
@@ -209,26 +226,13 @@ int Daemon::serve() {
         steps_ % options_.timeline.slot_steps == 0) {
       sample_timeline();
     }
-    if (hup_requested_.exchange(false, std::memory_order_relaxed)) {
-      // Count first so the forced snapshot already shows its own trigger.
-      ctr_sighup_->add(1);
-      const std::string text = snapshot_text();
-      if (!options_.snapshot_path.empty()) write_snapshot(text);
-      if (stats_ != nullptr) {
-        stats_->publish(text, obs::to_prometheus(registry_), series_text());
-      }
-      if (log != nullptr) {
-        *log << "rtsmoothd: SIGHUP snapshot at step " << steps_ << '\n';
-      }
-    } else {
-      if (options_.snapshot_every > 0 && !options_.snapshot_path.empty() &&
-          steps_ % options_.snapshot_every == 0) {
-        write_snapshot();
-      }
-      if (stats_ != nullptr && options_.stats_publish_every > 0 &&
-          steps_ % options_.stats_publish_every == 0) {
-        publish_stats();
-      }
+    const bool hup = hup_requested_.exchange(false, std::memory_order_relaxed);
+    // Count first so the forced snapshot already shows its own trigger.
+    if (hup) ctr_sighup_->add(1);
+    publish(hup || due(options_.snapshot_every),
+            hup || due(options_.stats_publish_every));
+    if (hup && log != nullptr) {
+      *log << "rtsmoothd: SIGHUP snapshot at step " << steps_ << '\n';
     }
     if (source_ended_ && pending_.empty() && !draining_ &&
         engine_->quiescent()) {
@@ -254,7 +258,6 @@ void Daemon::poll_frames() {
   std::vector<IngestFrame> buf = take_group_buffer();
   PollStatus status = source_->poll(steps_, buf);
   if (status == PollStatus::Stalled && buf.empty()) {
-    ++stalled_polls_;
     ctr_stalled_polls_->add(1);
     std::int64_t sleep_us = options_.ingest.retry_sleep_us;
     for (std::int32_t attempt = 0; attempt < options_.ingest.max_retries &&
@@ -264,7 +267,6 @@ void Daemon::poll_frames() {
         std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
       }
       sleep_us = std::min(sleep_us * 2, options_.ingest.retry_sleep_max_us);
-      ++ingest_retries_;
       ctr_ingest_retries_->add(1);
       status = source_->poll(steps_, buf);
     }
@@ -302,10 +304,10 @@ void Daemon::poll_frames() {
     return;
   }
   const trace::ValueModel& values = engine_->config().values;
-  const Bytes polled_before = polled_bytes_;
+  Bytes polled = 0;
   for (const IngestFrame& f : buf) {
     ++polled_frames_;
-    polled_bytes_ += f.size;
+    polled += f.size;
     if (f.channel >= 0 &&
         static_cast<std::size_t>(f.channel) < channel_stats_.size()) {
       ChannelStats& cs = channel_stats_[static_cast<std::size_t>(f.channel)];
@@ -314,7 +316,7 @@ void Daemon::poll_frames() {
       ++cs.frames;
     }
   }
-  ctr_polled_bytes_->add(polled_bytes_ - polled_before);
+  ctr_polled_bytes_->add(polled);
   pending_.push_back(Group{steps_, std::move(buf)});
 }
 
@@ -361,14 +363,7 @@ void Daemon::drain_step() {
     return;
   }
   if (current_drain_steps_ >= drain_ceiling()) {
-    engine_->abort_residual();
-    forced_residual_ = true;
-    registry_.counter("daemon.drain.forced_residual").add(1);
-    if (options_.log != nullptr) {
-      *options_.log << "rtsmoothd: drain ceiling (" << current_drain_steps_
-                    << " steps) hit at step " << steps_
-                    << "; residual written off\n";
-    }
+    write_off_residual("drain", current_drain_steps_);
     finish_reconfig();
   }
 }
@@ -379,7 +374,6 @@ void Daemon::begin_reconfig() {
   const EngineConfig cfg = plan_config(req.plan);
   const std::string err = cfg.validate();
   if (!err.empty()) {
-    ++reconfigs_rejected_;
     registry_.counter("daemon.reconfig.rejected").add(1);
     if (options_.log != nullptr) {
       *options_.log << "rtsmoothd: reconfig at step " << steps_
@@ -421,7 +415,6 @@ void Daemon::finish_reconfig() {
   engine_->set_record_base(steps_ + 1);
   watchdog_.set_server_buffer(cfg.server_buffer);
   draining_ = false;
-  ++reconfigs_applied_;
   registry_.counter("daemon.reconfig.applied").add(1);
   if (options_.log != nullptr) {
     *options_.log << "rtsmoothd: reconfig applied at step " << steps_
@@ -468,7 +461,6 @@ void Daemon::apply_ladder(Group& group) {
         shed > 0 && std::find(shed_rank_.begin(), shed_rank_.begin() + shed,
                               f.channel) != shed_rank_.begin() + shed;
     if (is_shed) {
-      channel_shed_bytes_ += f.size;
       ++channel_shed_frames_;
       ctr_channel_shed_bytes_->add(f.size);
     } else {
@@ -499,7 +491,6 @@ void Daemon::apply_admission_budget() {
       budget -= f.size;
       admit_buf_[kept++] = f;
     } else {
-      budget_refused_bytes_ += f.size;
       ++budget_refused_frames_;
       ctr_budget_refused_bytes_->add(f.size);
     }
@@ -510,11 +501,6 @@ void Daemon::apply_admission_budget() {
 void Daemon::observe(const StepStats& stats) {
   admitted_bytes_ += stats.record.arrived;
   admitted_frames_ += stats.admitted;
-  slot_refused_bytes_ += stats.refused;
-  slot_refused_frames_ += stats.refused_frames;
-  floor_shed_bytes_ += stats.floor_shed;
-  playouts_ += stats.playouts;
-  degraded_playouts_ += stats.degraded;
   ctr_slot_refused_bytes_->add(stats.refused);
   ctr_floor_shed_bytes_->add(stats.floor_shed);
   ctr_playouts_->add(stats.playouts);
@@ -536,18 +522,23 @@ Time Daemon::drain_ceiling() const {
          4096;
 }
 
+void Daemon::write_off_residual(const char* drain, Time drained) {
+  engine_->abort_residual();
+  forced_residual_ = true;
+  registry_.counter("daemon.drain.forced_residual").add(1);
+  if (options_.log != nullptr) {
+    *options_.log << "rtsmoothd: " << drain << " ceiling (" << drained
+                  << " steps) hit at step " << steps_
+                  << "; residual written off\n";
+  }
+}
+
 void Daemon::shutdown_drain() {
   const Time ceiling = drain_ceiling();
   Time drained = 0;
   while (!engine_->quiescent()) {
     if (drained >= ceiling) {
-      engine_->abort_residual();
-      forced_residual_ = true;
-      registry_.counter("daemon.drain.forced_residual").add(1);
-      if (options_.log != nullptr) {
-        *options_.log << "rtsmoothd: shutdown drain ceiling (" << drained
-                      << " steps) hit; residual written off\n";
-      }
+      write_off_residual("shutdown drain", drained);
       break;
     }
     const StepStats st = engine_->step({});
@@ -573,9 +564,18 @@ bool Daemon::ingest_ledger_conserves() const {
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     for (const IngestFrame& f : pending_[i].frames) pending += f.size;
   }
-  return polled_bytes_ == admitted_bytes_ + budget_refused_bytes_ +
-                              slot_refused_bytes_ + channel_shed_bytes_ +
-                              unserved_bytes_ + pending;
+  return ctr_polled_bytes_->value() ==
+         admitted_bytes_ + ctr_budget_refused_bytes_->value() +
+             ctr_slot_refused_bytes_->value() +
+             ctr_channel_shed_bytes_->value() + unserved_bytes_ + pending;
+}
+
+std::int64_t Daemon::reconfigs_applied() const {
+  return lazy_counter(registry_, "daemon.reconfig.applied");
+}
+
+std::int64_t Daemon::reconfigs_rejected() const {
+  return lazy_counter(registry_, "daemon.reconfig.rejected");
 }
 
 SimReport Daemon::total_report() const {
@@ -585,6 +585,10 @@ SimReport Daemon::total_report() const {
 }
 
 obs::Json Daemon::snapshot() const {
+  return snapshot(timeline_ != nullptr ? timeline_->to_json() : obs::Json{});
+}
+
+obs::Json Daemon::snapshot(obs::Json series) const {
   const EngineConfig& cfg = engine_->config();
   obs::Json doc = obs::Json::object();
   doc["schema"] = "rtsmooth-soak-v1";
@@ -607,8 +611,8 @@ obs::Json Daemon::snapshot() const {
   doc["stop_signal"] = stop_signal();
 
   obs::Json rc = obs::Json::object();
-  rc["applied"] = reconfigs_applied_;
-  rc["rejected"] = reconfigs_rejected_;
+  rc["applied"] = reconfigs_applied();
+  rc["rejected"] = reconfigs_rejected();
   rc["drain_steps"] = reconfig_drain_steps_;
   rc["max_lag"] = max_reconfig_lag_;
   rc["queued"] = static_cast<std::int64_t>(reconfig_queue_.size());
@@ -643,9 +647,9 @@ obs::Json Daemon::snapshot() const {
 
   obs::Json ingest = obs::Json::object();
   ingest["polled_frames"] = polled_frames_;
-  ingest["polled_bytes"] = polled_bytes_;
-  ingest["stalled_polls"] = stalled_polls_;
-  ingest["retries"] = ingest_retries_;
+  ingest["polled_bytes"] = ctr_polled_bytes_->value();
+  ingest["stalled_polls"] = ctr_stalled_polls_->value();
+  ingest["retries"] = ctr_ingest_retries_->value();
   ingest["source_ended"] = source_ended_;
   ingest["timed_out"] = ingest_timed_out_;
   ingest["pending_depth"] = static_cast<std::int64_t>(pending_.size());
@@ -657,15 +661,15 @@ obs::Json Daemon::snapshot() const {
   obs::Json adm = obs::Json::object();
   adm["admitted_bytes"] = admitted_bytes_;
   adm["admitted_frames"] = admitted_frames_;
-  adm["budget_refused_bytes"] = budget_refused_bytes_;
+  adm["budget_refused_bytes"] = ctr_budget_refused_bytes_->value();
   adm["budget_refused_frames"] = budget_refused_frames_;
-  adm["channel_shed_bytes"] = channel_shed_bytes_;
+  adm["channel_shed_bytes"] = ctr_channel_shed_bytes_->value();
   adm["channel_shed_frames"] = channel_shed_frames_;
-  adm["slot_refused_bytes"] = slot_refused_bytes_;
-  adm["slot_refused_frames"] = slot_refused_frames_;
+  adm["slot_refused_bytes"] = ctr_slot_refused_bytes_->value();
+  adm["slot_refused_frames"] = ctr_slot_refused_frames_->value();
   adm["unserved_bytes"] = unserved_bytes_;
   adm["unserved_frames"] = unserved_frames_;
-  adm["floor_shed_bytes"] = floor_shed_bytes_;
+  adm["floor_shed_bytes"] = ctr_floor_shed_bytes_->value();
   adm["ledger_conserves"] = ingest_ledger_conserves();
   doc["admission"] = std::move(adm);
 
@@ -714,18 +718,11 @@ obs::Json Daemon::snapshot() const {
     // the shutdown sample runs right before this document is built, so
     // every series total reconciles exactly against the registry section
     // below (pinned in test_stats_server).
-    doc["series"] = timeline_->to_json();
+    doc["series"] = std::move(series);
   }
 
   doc["registry"] = registry_.to_json(false);
   return doc;
-}
-
-std::string Daemon::snapshot_text() const { return snapshot().dump() + "\n"; }
-
-std::string Daemon::series_text() const {
-  return timeline_ != nullptr ? timeline_->to_json().dump() + "\n"
-                              : std::string{};
 }
 
 void Daemon::sample_timeline() {
@@ -736,13 +733,21 @@ void Daemon::sample_timeline() {
   }
 }
 
-void Daemon::publish_stats() {
-  if (stats_ == nullptr) return;
-  stats_->publish(snapshot_text(), obs::to_prometheus(registry_),
-                  series_text());
+void Daemon::publish(bool to_file, bool to_endpoint) {
+  to_file = to_file && !options_.snapshot_path.empty();
+  to_endpoint = to_endpoint && stats_ != nullptr;
+  if (!to_file && !to_endpoint) return;
+  obs::Json series = timeline_ != nullptr ? timeline_->to_json() : obs::Json{};
+  // An empty /series body tells the endpoint there is no timeline.
+  std::string series_text;
+  if (to_endpoint && timeline_ != nullptr) series_text = series.dump() + "\n";
+  std::string text = snapshot(std::move(series)).dump() + "\n";
+  if (to_file) write_snapshot(text);
+  if (to_endpoint) {
+    stats_->publish(std::move(text), obs::to_prometheus(registry_),
+                    std::move(series_text));
+  }
 }
-
-void Daemon::write_snapshot() const { write_snapshot(snapshot_text()); }
 
 void Daemon::write_snapshot(const std::string& text) const {
   // tmp + rename so a reader (or a crash mid-write) never sees a torn
@@ -813,16 +818,10 @@ void Daemon::write_outputs() {
     // series-vs-registry conservation the snapshot pins.
     timeline_->sample(steps_, registry_);
   }
-  if (!options_.snapshot_path.empty() || stats_ != nullptr) {
-    // One document, built after the incident files so incidents_written_
-    // is final, serves both sinks: the shutdown snapshot file and the
-    // endpoint payload are byte-identical (pinned in test_stats_server).
-    const std::string text = snapshot_text();
-    if (!options_.snapshot_path.empty()) write_snapshot(text);
-    if (stats_ != nullptr) {
-      stats_->publish(text, obs::to_prometheus(registry_), series_text());
-    }
-  }
+  // Built after the incident files so incidents_written_ is final; the
+  // shutdown snapshot file and the endpoint payload are byte-identical
+  // (pinned in test_stats_server).
+  publish(true, true);
 }
 
 std::vector<IngestFrame> Daemon::take_group_buffer() {

@@ -23,14 +23,19 @@
 //     document as /json and the registry as Prometheus text on /metrics.
 //     The payload is rebuilt at publish cadence (startup, every
 //     stats_publish_every steps, SIGHUP, shutdown) and swapped in with one
-//     atomic pointer store, so scrapers never touch the serving loop. The
-//     shutdown publish and the shutdown snapshot file are the *same*
-//     string, byte for byte. SIGHUP (request_snapshot()) forces a snapshot
-//     write plus a publish at the next step boundary without stopping.
+//     atomic pointer store, so scrapers never touch the serving loop. Every
+//     publish, to the snapshot file, the endpoint or both, builds the
+//     series and the snapshot once and hands the same string to each sink,
+//     so the shutdown /json answer equals the shutdown snapshot file byte
+//     for byte. SIGHUP (request_snapshot()) forces a snapshot write plus a
+//     publish at the next step boundary without stopping.
 //
 // The daemon-level ledger extends the engine's conservation invariant to
 // ingest: polled == admitted + budget_refused + slot_refused +
 // channel_shed + unserved (deferred frames a shutdown never admitted).
+// Every tally that has a registry counter (the byte tallies, stalled polls,
+// retries, slot-refused frames, applied and rejected reconfigurations) lives
+// only in the registry; frame counts without a counter are members.
 
 #pragma once
 
@@ -201,11 +206,11 @@ class Daemon {
   /// The rolling timeline, or null when options.timeline is disabled.
   const obs::Timeline* timeline() const { return timeline_.get(); }
 
-  std::int64_t reconfigs_applied() const { return reconfigs_applied_; }
-  std::int64_t reconfigs_rejected() const { return reconfigs_rejected_; }
+  std::int64_t reconfigs_applied() const;
+  std::int64_t reconfigs_rejected() const;
   std::int64_t incidents_written() const { return incidents_written_; }
   std::int64_t polled_frames() const { return polled_frames_; }
-  Bytes polled_bytes() const { return polled_bytes_; }
+  Bytes polled_bytes() const { return ctr_polled_bytes_->value(); }
 
   /// polled == admitted + budget_refused + slot_refused + channel_shed +
   /// unserved, in bytes.
@@ -236,22 +241,22 @@ class Daemon {
   void apply_ladder(Group& group);
   void apply_admission_budget();
   void observe(const StepStats& stats);
+  /// The drain ceiling fired after `drained` steps: moves what the engine
+  /// still owes to residual, flags forced_residual and logs it.
+  void write_off_residual(const char* drain, Time drained);
   void shutdown_drain();
   void write_outputs();
-  /// snapshot().dump() + '\n' — the exact bytes the snapshot file and the
-  /// endpoint's /json route serve.
-  std::string snapshot_text() const;
-  /// timeline()->to_json().dump() + '\n', or empty without a timeline —
-  /// the exact bytes the endpoint's /series route serves.
-  std::string series_text() const;
   /// Samples the timeline at step `steps_` and feeds each budget's burn
   /// verdict to the watchdog. No-op without a timeline.
   void sample_timeline();
-  void write_snapshot() const;
+  /// The rtsmooth-soak-v1 document around an already built `series`
+  /// (null without a timeline).
+  obs::Json snapshot(obs::Json series) const;
+  /// Builds the series and the snapshot once and hands the same bytes to
+  /// the snapshot file (when `to_file` and a path is set) and to the
+  /// endpoint's /json and /series (when `to_endpoint` and it runs).
+  void publish(bool to_file, bool to_endpoint);
   void write_snapshot(const std::string& text) const;
-  /// Rebuilds {JSON, Prometheus} and swaps them into the endpoint. No-op
-  /// without a stats server.
-  void publish_stats();
   std::vector<IngestFrame> take_group_buffer();
   void recycle_group_buffer(std::vector<IngestFrame> buf);
   EngineConfig plan_config(const EnginePlan& plan) const;
@@ -294,48 +299,35 @@ class Daemon {
   std::vector<std::int32_t> shed_rank_;  ///< channels by ascending mean value
   std::int32_t shed_count_ = 0;
 
-  // Ingest + ladder ledger (bytes / frames / weight).
+  // Ingest + ladder ledger: the tallies no registry counter holds.
   std::int64_t polled_frames_ = 0;
-  Bytes polled_bytes_ = 0;
-  std::int64_t stalled_polls_ = 0;
-  std::int64_t ingest_retries_ = 0;
   Time consecutive_stalled_ = 0;
   Bytes admitted_bytes_ = 0;
   std::int64_t admitted_frames_ = 0;
-  Bytes budget_refused_bytes_ = 0;
   std::int64_t budget_refused_frames_ = 0;
-  Bytes slot_refused_bytes_ = 0;
-  std::int64_t slot_refused_frames_ = 0;
-  Bytes channel_shed_bytes_ = 0;
   std::int64_t channel_shed_frames_ = 0;
   Bytes unserved_bytes_ = 0;
   std::int64_t unserved_frames_ = 0;
-  Bytes floor_shed_bytes_ = 0;
-  std::int64_t playouts_ = 0;
-  std::int64_t degraded_playouts_ = 0;
 
-  // Ingest-health instruments resolved once at construction, so they exist
-  // (at zero) in every registry snapshot and the serving loop never does a
-  // name lookup.
+  // The rest of the ledger and the ingest-health tallies, as registry
+  // counters resolved once at construction: they exist (at zero) in every
+  // registry snapshot, the timeline delta-diffs them for the burn budgets,
+  // and the serving loop never does a name lookup.
+  obs::Counter* ctr_polled_bytes_ = nullptr;
   obs::Counter* ctr_stalled_polls_ = nullptr;
   obs::Counter* ctr_ingest_retries_ = nullptr;
-  obs::Counter* ctr_sighup_ = nullptr;
-  // Ledger mirrors: the member tallies above, duplicated as registry
-  // counters so the timeline can delta-diff them (burn budgets reference
-  // counter names, and member fields are invisible to the registry).
-  obs::Counter* ctr_polled_bytes_ = nullptr;
+  obs::Counter* ctr_budget_refused_bytes_ = nullptr;
+  obs::Counter* ctr_channel_shed_bytes_ = nullptr;
+  obs::Counter* ctr_slot_refused_bytes_ = nullptr;
+  obs::Counter* ctr_slot_refused_frames_ = nullptr;  ///< LiveEngine counts it
+  obs::Counter* ctr_floor_shed_bytes_ = nullptr;
   obs::Counter* ctr_playouts_ = nullptr;
   obs::Counter* ctr_degraded_playouts_ = nullptr;
-  obs::Counter* ctr_slot_refused_bytes_ = nullptr;
-  obs::Counter* ctr_floor_shed_bytes_ = nullptr;
-  obs::Counter* ctr_channel_shed_bytes_ = nullptr;
-  obs::Counter* ctr_budget_refused_bytes_ = nullptr;
+  obs::Counter* ctr_sighup_ = nullptr;
   obs::Gauge* gauge_truncated_tail_ = nullptr;  ///< wire-source partial tail
   obs::Gauge* gauge_rejected_records_ = nullptr;
 
   SimReport total_report_;  ///< folded reports of completed engine epochs
-  std::int64_t reconfigs_applied_ = 0;
-  std::int64_t reconfigs_rejected_ = 0;
   Time reconfig_drain_steps_ = 0;
   Time max_reconfig_lag_ = 0;
   std::int64_t incidents_written_ = 0;

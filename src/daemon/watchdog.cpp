@@ -16,23 +16,21 @@ Bytes occupancy_line(Bytes server_buffer, double frac) {
 }  // namespace
 
 Watchdog::Watchdog(SloConfig config, Bytes server_buffer,
-                   obs::FlightRecorder* recorder, obs::Registry* registry)
+                   obs::FlightRecorder* recorder, obs::Registry& registry)
     : config_(config),
       server_buffer_(server_buffer),
       occupancy_line_(occupancy_line(server_buffer,
                                      config.max_occupancy_frac)),
-      recorder_(recorder) {
+      recorder_(recorder),
+      stall_breaches_(&registry.counter("daemon.slo.stall_rate_breaches")),
+      loss_breaches_(&registry.counter("daemon.slo.loss_rate_breaches")),
+      occupancy_breaches_(&registry.counter("daemon.slo.occupancy_breaches")),
+      burn_breaches_(&registry.counter("daemon.slo.burn_breaches")),
+      incidents_counter_(&registry.counter("daemon.slo.incidents")),
+      suppressed_counter_(&registry.counter("daemon.slo.cooldown_suppressed")) {
   RTS_EXPECTS(config_.window >= 1);
   RTS_EXPECTS(config_.cooldown >= 0);
   ring_.resize(static_cast<std::size_t>(config_.window));
-  if (registry != nullptr) {
-    stall_breaches_ = &registry->counter("daemon.slo.stall_rate_breaches");
-    loss_breaches_ = &registry->counter("daemon.slo.loss_rate_breaches");
-    occupancy_breaches_ = &registry->counter("daemon.slo.occupancy_breaches");
-    burn_breaches_ = &registry->counter("daemon.slo.burn_breaches");
-    incidents_counter_ = &registry->counter("daemon.slo.incidents");
-    suppressed_counter_ = &registry->counter("daemon.slo.cooldown_suppressed");
-  }
 }
 
 void Watchdog::set_server_buffer(Bytes server_buffer) {
@@ -56,46 +54,27 @@ double Watchdog::occupancy_step_frac() const {
          static_cast<double>(ring_.size());
 }
 
-void Watchdog::breach(Time t, const char* kind, double rate, double limit,
-                      std::int64_t* counter, Time* last_capture,
-                      obs::Counter* breach_counter) {
-  (void)limit;
-  ++*counter;
-  if (breach_counter != nullptr) breach_counter->add(1);
+void Watchdog::capture(Time t, std::string_view kind, double rate,
+                       Time& last_capture) {
   if (recorder_ == nullptr) return;
-  if (*last_capture >= 0 && t - *last_capture < config_.cooldown) {
-    ++cooldown_suppressed_;
-    if (suppressed_counter_ != nullptr) suppressed_counter_->add(1);
+  if (last_capture >= 0 && t - last_capture < config_.cooldown) {
+    suppressed_counter_->add(1);
     return;
   }
-  *last_capture = t;
-  ++incidents_captured_;
-  if (incidents_counter_ != nullptr) incidents_counter_->add(1);
+  last_capture = t;
+  incidents_counter_->add(1);
   recorder_->on_violation(t, kind,
                           static_cast<std::int64_t>(std::llround(rate * 1e6)));
 }
 
 void Watchdog::observe_burn(Time t, const obs::BurnStatus& status) {
   if (!config_.enabled || !status.firing) return;
-  ++breaches_.burn;
-  if (burn_breaches_ != nullptr) burn_breaches_->add(1);
-  if (recorder_ == nullptr) return;
+  burn_breaches_->add(1);
   const std::string& name = status.budget->name;
-  const auto [it, inserted] = last_burn_capture_.try_emplace(name, Time{-1});
-  Time& last = it->second;
-  if (!inserted && last >= 0 && t - last < config_.cooldown) {
-    ++cooldown_suppressed_;
-    if (suppressed_counter_ != nullptr) suppressed_counter_->add(1);
-    return;
-  }
-  last = t;
-  ++incidents_captured_;
-  if (incidents_counter_ != nullptr) incidents_counter_->add(1);
+  Time& last = last_burn_capture_.try_emplace(name, Time{-1}).first->second;
   // The short window is the fast-detection window — its burn is the
   // magnitude a responder wants first.
-  recorder_->on_violation(
-      t, "slo.burn." + name,
-      static_cast<std::int64_t>(std::llround(status.short_burn * 1e6)));
+  capture(t, "slo.burn." + name, status.short_burn, last);
 }
 
 Watchdog::Pressure Watchdog::observe(Time t, const StepStats& stats) {
@@ -132,17 +111,16 @@ Watchdog::Pressure Watchdog::observe(Time t, const StepStats& stats) {
   pressure.loss = loss > config_.max_weighted_loss_rate;
   pressure.occupancy = occ > config_.max_occupancy_step_frac;
   if (pressure.stall) {
-    breach(t, "slo.stall_rate", stall, config_.max_stall_rate,
-           &breaches_.stall, &last_stall_capture_, stall_breaches_);
+    stall_breaches_->add(1);
+    capture(t, "slo.stall_rate", stall, last_stall_capture_);
   }
   if (pressure.loss) {
-    breach(t, "slo.loss_rate", loss, config_.max_weighted_loss_rate,
-           &breaches_.loss, &last_loss_capture_, loss_breaches_);
+    loss_breaches_->add(1);
+    capture(t, "slo.loss_rate", loss, last_loss_capture_);
   }
   if (pressure.occupancy) {
-    breach(t, "slo.occupancy", occ, config_.max_occupancy_step_frac,
-           &breaches_.occupancy, &last_occupancy_capture_,
-           occupancy_breaches_);
+    occupancy_breaches_->add(1);
+    capture(t, "slo.occupancy", occ, last_occupancy_capture_);
   }
   return pressure;
 }

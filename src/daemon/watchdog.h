@@ -24,16 +24,18 @@
 // "slo.burn.<budget>" and the short-window burn in ppm as the magnitude.
 // Breaches fire on budget exhaustion *rate*, not raw counts.
 //
-// Every tally is mirrored as a first-class `daemon.slo.*` registry counter
+// Every tally is a `daemon.slo.*` registry counter and nothing else
 // (stall/loss/occupancy/burn breaches, incidents captured, captures
-// suppressed by cooldown), so breach history survives in snapshots and
-// Prometheus scrapes, not only as flight-recorder incidents.
+// suppressed by cooldown); breaches() and cooldown_suppressed() read them.
+// So breach history survives in snapshots and Prometheus scrapes, not only
+// as flight-recorder incidents.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.h"
@@ -78,8 +80,9 @@ class Watchdog {
     bool any() const { return stall || loss || occupancy; }
   };
 
+  /// `recorder` may be null (breaches are counted, nothing is captured).
   Watchdog(SloConfig config, Bytes server_buffer,
-           obs::FlightRecorder* recorder, obs::Registry* registry);
+           obs::FlightRecorder* recorder, obs::Registry& registry);
 
   /// Feeds one step's stats; `t` is the daemon's global step (used for
   /// incident timestamps and cooldowns).
@@ -93,9 +96,15 @@ class Watchdog {
   /// Reconfiguration moved the occupancy line.
   void set_server_buffer(Bytes server_buffer);
 
-  const SloBreaches& breaches() const { return breaches_; }
-  std::int64_t incidents_captured() const { return incidents_captured_; }
-  std::int64_t cooldown_suppressed() const { return cooldown_suppressed_; }
+  SloBreaches breaches() const {
+    return {.stall = stall_breaches_->value(),
+            .loss = loss_breaches_->value(),
+            .occupancy = occupancy_breaches_->value(),
+            .burn = burn_breaches_->value()};
+  }
+  std::int64_t cooldown_suppressed() const {
+    return suppressed_counter_->value();
+  }
   /// Current window rates (0 while the window is filling).
   double stall_rate() const;
   double loss_rate() const;
@@ -113,9 +122,10 @@ class Watchdog {
   bool window_full() const {
     return seen_ >= static_cast<std::int64_t>(ring_.size());
   }
-  void breach(Time t, const char* kind, double rate, double limit,
-              std::int64_t* counter, Time* last_capture,
-              obs::Counter* breach_counter);
+  /// Captures an incident of `kind` with `rate` in ppm as its magnitude,
+  /// unless the kind's last capture is within the cooldown.
+  void capture(Time t, std::string_view kind, double rate,
+               Time& last_capture);
 
   SloConfig config_;
   Bytes server_buffer_;
@@ -129,20 +139,17 @@ class Watchdog {
   double offered_weight_ = 0.0;
   double lost_weight_ = 0.0;
   std::int64_t occupancy_high_ = 0;
-  SloBreaches breaches_;
-  std::int64_t incidents_captured_ = 0;
-  std::int64_t cooldown_suppressed_ = 0;
   Time last_stall_capture_ = -1;
   Time last_loss_capture_ = -1;
   Time last_occupancy_capture_ = -1;
   /// Per-budget capture cooldown tracks for observe_burn().
   std::map<std::string, Time, std::less<>> last_burn_capture_;
-  obs::Counter* stall_breaches_ = nullptr;
-  obs::Counter* loss_breaches_ = nullptr;
-  obs::Counter* occupancy_breaches_ = nullptr;
-  obs::Counter* burn_breaches_ = nullptr;
-  obs::Counter* incidents_counter_ = nullptr;
-  obs::Counter* suppressed_counter_ = nullptr;
+  obs::Counter* stall_breaches_;
+  obs::Counter* loss_breaches_;
+  obs::Counter* occupancy_breaches_;
+  obs::Counter* burn_breaches_;
+  obs::Counter* incidents_counter_;
+  obs::Counter* suppressed_counter_;
 };
 
 }  // namespace rtsmooth::daemon

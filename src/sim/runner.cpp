@@ -84,23 +84,6 @@ RunStats ParallelRunner::run(std::vector<std::function<void()>> tasks,
   stats.threads = width;
   const auto batch_start = Clock::now();
 
-  if (width <= 1) {
-    // In-place serial path: no pool, no atomics — `threads=1` is the
-    // reference execution the parallel path must match byte for byte.
-    std::size_t done = 0;
-    for (auto& task : tasks) {
-      const auto start = Clock::now();
-      stats.queue_us += us_between(batch_start, start);
-      task();
-      const std::int64_t us = us_between(start, Clock::now());
-      stats.total_task_us += us;
-      stats.max_task_us = std::max(stats.max_task_us, us);
-      if (progress) progress(++done, tasks.size());
-    }
-    stats.wall_us = us_between(batch_start, Clock::now());
-    return stats;
-  }
-
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by merge_mutex
   std::vector<std::exception_ptr> errors(tasks.size());
@@ -133,10 +116,16 @@ RunStats ParallelRunner::run(std::vector<std::function<void()>> tasks,
     stats.queue_us += local_queue;
   };
 
-  std::vector<std::thread> pool;
-  pool.reserve(width);
-  for (unsigned t = 0; t < width; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
+  if (width <= 1) {
+    // The calling thread is the one worker: `threads=1` is the reference
+    // execution the parallel path must match byte for byte, errors included.
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(width);
+    for (unsigned t = 0; t < width; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
   stats.wall_us = us_between(batch_start, Clock::now());
 
   for (std::exception_ptr& error : errors) {

@@ -3,17 +3,19 @@
 // Every figure/table bench replays the same read-only Stream under dozens of
 // independent (plan, policy, link, severity) combinations; each combination
 // is a pure function of its inputs (seeded RNGs live inside the task, the
-// Stream is never mutated). ParallelRunner exploits that: a fixed pool of
-// std::thread workers pulls tasks off a shared index — no work stealing, no
-// task dependencies — and results land in submission order, so a parallel
-// batch is byte-identical to running the same tasks in a serial loop.
+// Stream is never mutated). ParallelRunner exploits that: every run() call
+// starts `width` std::thread workers, which pull tasks off a shared index —
+// no work stealing, no task dependencies — and joins them before it
+// returns. Results land in submission order, so a parallel batch is
+// byte-identical to running the same tasks in a serial loop.
 //
 // Width control, in priority order:
 //   1. an explicit `threads` argument (SweepSpec::threads, --threads N),
 //   2. the RTSMOOTH_THREADS environment variable,
 //   3. std::thread::hardware_concurrency().
-// Width 1 executes in place on the calling thread (no pool, no atomics), so
-// `threads=1` *is* the serial path rather than merely approximating it.
+// Width 1 runs the same worker body inline on the calling thread (no thread
+// is started), so `threads=1` *is* the serial path rather than merely
+// approximating it, down to how a throwing task is handled.
 
 #pragma once
 
@@ -29,7 +31,7 @@ namespace rtsmooth::sim {
 /// `summary()`; future BENCH_*.json trajectories can record the fields.
 struct RunStats {
   std::size_t tasks = 0;        ///< tasks executed in the batch
-  unsigned threads = 1;         ///< pool width actually used
+  unsigned threads = 1;         ///< worker count actually used
   std::int64_t total_task_us = 0;  ///< sum of per-task wall time (~cpu time)
   std::int64_t max_task_us = 0;    ///< slowest single task
   std::int64_t queue_us = 0;  ///< sum of per-task wait from batch start to
@@ -57,7 +59,8 @@ struct RunStats {
 /// hardware_concurrency(); always returns at least 1.
 unsigned resolve_threads(unsigned requested);
 
-/// Executes a batch of independent tasks on a fixed thread pool.
+/// Executes a batch of independent tasks on `threads()` workers, started
+/// and joined by every run() call.
 ///
 /// Contract for tasks: each task owns all state it mutates (write to your
 /// own pre-allocated result slot; seed your own RNG). Tasks must not touch
@@ -75,7 +78,7 @@ class ParallelRunner {
 
   /// Called after each task completes with (done, total). Invocations are
   /// serialized but their order follows completion, not submission; keep
-  /// the callback cheap — it runs under the pool's merge lock.
+  /// the callback cheap — it runs under the workers' merge lock.
   using Progress = std::function<void(std::size_t done, std::size_t total)>;
 
   /// Runs every task; task i's side effects are its own. Returns timing

@@ -3,8 +3,9 @@
 // degradation ladder, the Sect. 3.3 plan classifier, the fault schedule
 // parser, the engine's abort-to-residual path, and the Daemon's serving
 // loop end to end — clean completion,
-// overload escalation with valid incident documents, and signal-driven
-// shutdown. The drain-and-replan differential suite lives in
+// overload escalation with valid incident documents, signal-driven
+// shutdown, and the snapshot's ledger tallies against the registry counters
+// that hold them. The drain-and-replan differential suite lives in
 // test_reconfig.cpp.
 
 #include <gtest/gtest.h>
@@ -232,7 +233,7 @@ TEST(Watchdog, StallBreachCapturesIncidentWithCooldown) {
   slo.max_stall_rate = 0.05;
   slo.window = 8;
   slo.cooldown = 100;
-  Watchdog wd(slo, /*server_buffer=*/100, &recorder, &registry);
+  Watchdog wd(slo, /*server_buffer=*/100, &recorder, registry);
 
   StepStats stalled;
   stalled.playouts = 1;
@@ -253,7 +254,7 @@ TEST(Watchdog, HealthyTrafficNeverBreaches) {
   obs::Registry registry;
   SloConfig slo;
   slo.window = 8;
-  Watchdog wd(slo, 100, nullptr, &registry);
+  Watchdog wd(slo, 100, nullptr, registry);
   StepStats healthy;
   healthy.playouts = 1;
   healthy.offered_weight = 10.0;
@@ -591,6 +592,89 @@ TEST(Daemon, RejectsInvalidInitialConfig) {
   opts.engine.rate = 0;  // invalid
   EXPECT_THROW(Daemon(opts, std::make_unique<GeneratorSource>(gen)),
                std::invalid_argument);
+}
+
+// --------------------------------------------------------------- the ledger
+
+TEST(DaemonLedger, SnapshotTalliesEqualTheirCounters) {
+  // Every snapshot tally that a daemon.* registry counter also holds: the
+  // snapshot path and the counter's name.
+  struct Tally {
+    std::vector<std::string> path;
+    std::string counter;
+  };
+  const std::vector<Tally> tallies = {
+      {{"ingest", "polled_bytes"}, "daemon.ingest.polled_bytes"},
+      {{"ingest", "stalled_polls"}, "daemon.ingest.stalled_polls"},
+      {{"ingest", "retries"}, "daemon.ingest.retries"},
+      {{"admission", "budget_refused_bytes"},
+       "daemon.admission.budget_refused_bytes"},
+      {{"admission", "channel_shed_bytes"},
+       "daemon.admission.channel_shed_bytes"},
+      {{"admission", "slot_refused_bytes"},
+       "daemon.admission.slot_refused_bytes"},
+      {{"admission", "floor_shed_bytes"}, "daemon.admission.floor_shed_bytes"},
+      {{"admission", "slot_refused_frames"},
+       "daemon.admission.slot_refused_frames"},
+      {{"slo", "breaches", "stall"}, "daemon.slo.stall_rate_breaches"},
+      {{"slo", "breaches", "loss"}, "daemon.slo.loss_rate_breaches"},
+      {{"slo", "breaches", "occupancy"}, "daemon.slo.occupancy_breaches"},
+      {{"slo", "breaches", "burn"}, "daemon.slo.burn_breaches"},
+      {{"slo", "cooldown_suppressed"}, "daemon.slo.cooldown_suppressed"},
+  };
+
+  // Sustained overload through a small run table: the ladder climbs to
+  // channel shedding, frames are refused for want of a slot, and every
+  // watchdog SLO and burn budget breaches.
+  GeneratorConfig gen;
+  gen.channels = 6;
+  gen.mean_frame_bytes = 64;
+  gen.max_frame_bytes = 256;
+  gen.min_frame_bytes = 16;
+  gen.seed = 1;
+  DaemonOptions overload = balanced_options(/*rate=*/256, /*delay=*/4);
+  overload.engine.max_live_runs = 32;
+  overload.slo.enabled = true;
+  overload.ladder.enabled = true;
+  overload.max_steps = 6000;
+  overload.timeline.slot_steps = 100;
+  overload.timeline.short_slots = 2;
+  overload.timeline.long_slots = 8;
+  overload.timeline.budgets = default_slo_budgets();
+  Daemon loaded(overload, std::make_unique<GeneratorSource>(gen));
+  EXPECT_EQ(loaded.serve(), 0);
+
+  // A pipe nobody writes to: every poll stalls and is retried.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_NE(::fcntl(fds[0], F_SETFL, O_NONBLOCK), -1);
+  DaemonOptions stall = balanced_options(/*rate=*/64, /*delay=*/2);
+  stall.ingest.max_retries = 2;
+  stall.ingest.retry_sleep_us = 0;
+  stall.ingest.stall_timeout_steps = 5;
+  Daemon stalled(stall, std::make_unique<PipeSource>(fds[0], 1));
+  EXPECT_EQ(stalled.serve(), 0);
+  ::close(fds[1]);
+
+  std::vector<bool> nonzero(tallies.size(), false);
+  for (const Daemon* d : {&loaded, &stalled}) {
+    const obs::Json snap = d->snapshot();
+    const obs::Json& counters = snap.at("registry").at("counters");
+    for (std::size_t i = 0; i < tallies.size(); ++i) {
+      const obs::Json* field = &snap;
+      for (const std::string& key : tallies[i].path) field = &field->at(key);
+      const std::int64_t value = field->as_int();
+      EXPECT_EQ(value, counters.at(tallies[i].counter).as_int())
+          << tallies[i].counter;
+      if (value != 0) nonzero[i] = true;
+    }
+    EXPECT_EQ(d->polled_bytes(),
+              counters.at("daemon.ingest.polled_bytes").as_int());
+    EXPECT_TRUE(d->ingest_ledger_conserves());
+  }
+  for (std::size_t i = 0; i < tallies.size(); ++i) {
+    EXPECT_TRUE(nonzero[i]) << tallies[i].counter << " is 0 in both runs";
+  }
 }
 
 }  // namespace

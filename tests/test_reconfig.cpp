@@ -384,5 +384,46 @@ TEST(Reconfig, InvalidPlanIsRejectedAndServingContinues) {
   EXPECT_EQ(daemon.engine().config().rate, 64);  // old plan still live
 }
 
+TEST(Reconfig, DrainCeilingWritesOffResidual) {
+  // A one-step drain ceiling with frames still in flight: the reconfig
+  // drain and the shutdown drain both hit it and write off what is owed.
+  GeneratorConfig gen;  // endless: max_steps ends the run
+  gen.channels = 2;
+  gen.mean_frame_bytes = 32;
+  gen.max_frame_bytes = 64;
+  gen.min_frame_bytes = 8;
+
+  EngineConfig engine;
+  engine.rate = 64;
+  engine.smoothing_delay = 2;
+  engine.server_buffer = 128;
+  engine.client_buffer = 128;
+  engine.link_delay = 1;
+  std::ostringstream log;
+  DaemonOptions opts = quiet_options(engine);
+  opts.max_drain_steps = 1;
+  opts.max_steps = 200;
+  opts.log = &log;
+  Daemon daemon(opts, std::make_unique<GeneratorSource>(gen));
+  daemon.schedule_reconfig(100, EnginePlan{128, 128, 64, 2, 1, ""});
+  ASSERT_EQ(daemon.serve(), 0);
+
+  EXPECT_EQ(daemon.reconfigs_applied(), 1);
+  EXPECT_GT(daemon.total_report().residual.bytes, 0);
+  EXPECT_TRUE(daemon.total_report().conserves());
+  EXPECT_TRUE(daemon.ingest_ledger_conserves());
+  const obs::Json snap = daemon.snapshot();
+  EXPECT_TRUE(snap.at("reconfigs").at("forced_residual").as_bool());
+  EXPECT_EQ(snap.at("registry")
+                .at("counters")
+                .at("daemon.drain.forced_residual")
+                .as_int(),
+            2);
+  EXPECT_NE(log.str().find("rtsmoothd: drain ceiling (1 steps) hit"),
+            std::string::npos);
+  EXPECT_NE(log.str().find("rtsmoothd: shutdown drain ceiling (1 steps) hit"),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace rtsmooth::daemon

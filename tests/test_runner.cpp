@@ -75,9 +75,11 @@ TEST(ParallelRunner, RunExecutesEveryTaskExactlyOnce) {
 TEST(ParallelRunner, LowestIndexedExceptionWinsDeterministically) {
   for (unsigned threads : {1u, 2u, 8u}) {
     ParallelRunner runner(threads);
+    std::atomic<int> executed{0};
     std::vector<std::function<void()>> tasks;
     for (int i = 0; i < 16; ++i) {
-      tasks.push_back([i] {
+      tasks.push_back([i, &executed] {
+        executed.fetch_add(1, std::memory_order_relaxed);
         if (i == 5) throw std::runtime_error("task five");
         if (i == 11) throw std::runtime_error("task eleven");
       });
@@ -88,6 +90,8 @@ TEST(ParallelRunner, LowestIndexedExceptionWinsDeterministically) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "task five") << "threads=" << threads;
     }
+    // A throwing task does not abort the batch at any width.
+    EXPECT_EQ(executed.load(), 16) << "threads=" << threads;
   }
 }
 
