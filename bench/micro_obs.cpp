@@ -3,15 +3,22 @@
 // leave the simulator's end-to-end throughput unchanged — compare
 // BM_SimulateNoTelemetry against BM_SimulateNullHandle — while the enabled
 // path's absolute overhead is tracked by BM_SimulateTelemetryOn. The
-// micro-op benches bound the per-call cost of the individual instruments.
+// micro-op benches bound the per-call cost of the individual instruments,
+// and the publish benches pin what one daemon publish costs with a full
+// timeline ring: BM_TimelineDump (the series, written once per publish)
+// and BM_JsonDump (a snapshot-sized tree).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "microbench_main.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "obs/telemetry.h"
+#include "obs/timeline.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "trace/slicer.h"
@@ -148,6 +155,103 @@ void BM_SpanEnabled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpanEnabled);
+
+// ----------------------------------------------------------- publish cost
+
+/// A registry shaped like the one perfbench's daemon_churn publishes: 33
+/// counters, 6 gauges and 3 histograms (one 33-bucket occupancy, two
+/// 17-bucket step histograms), sampled into a full 256-slot timeline with
+/// three burn budgets, 300 samples in so the ring has wrapped.
+struct DaemonShapedObs {
+  obs::Registry registry;
+  obs::Timeline timeline{config()};
+
+  static obs::TimelineConfig config() {
+    obs::TimelineConfig c;
+    c.slot_steps = 1000;
+    c.capacity = 256;
+    c.budgets = {
+        obs::BurnBudget{.name = "stall", .bad = {"c.01"}, .total = {"c.00"}},
+        obs::BurnBudget{.name = "deadline_miss",
+                        .bad = {"c.02"},
+                        .total = {"c.00", "c.02"}},
+        obs::BurnBudget{
+            .name = "shed", .bad = {"c.03", "c.04"}, .total = {"c.05"}}};
+    return c;
+  }
+
+  DaemonShapedObs() {
+    std::vector<obs::Counter*> counters;
+    for (int i = 0; i < 33; ++i) {
+      counters.push_back(&registry.counter(
+          std::string(i < 10 ? "c.0" : "c.") + std::to_string(i)));
+    }
+    std::vector<obs::Gauge*> gauges;
+    for (int i = 0; i < 6; ++i) {
+      gauges.push_back(&registry.gauge("g." + std::to_string(i)));
+    }
+    obs::Histogram& occupancy = registry.histogram(
+        "h.occupancy", obs::HistogramSpec::exponential(1, 32));
+    obs::Histogram& slack =
+        registry.histogram("h.slack", obs::HistogramSpec::exponential(1, 16));
+    obs::Histogram& lateness = registry.histogram(
+        "h.lateness", obs::HistogramSpec::exponential(1, 16));
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    const auto next = [&x](std::int64_t bound) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return static_cast<std::int64_t>(x % static_cast<std::uint64_t>(bound));
+    };
+    for (std::int64_t slot = 1; slot <= 300; ++slot) {
+      for (obs::Counter* c : counters) c->add(next(300000));
+      for (obs::Gauge* g : gauges) g->update(next(5000));
+      for (int i = 0; i < 64; ++i) {
+        occupancy.record(next(2000), next(50) + 1);
+        slack.record(next(8), next(500) + 1);
+        lateness.record(next(64), next(20));
+      }
+      timeline.sample(slot * 1000, registry);
+    }
+  }
+};
+
+const DaemonShapedObs& daemon_shaped_obs() {
+  static const DaemonShapedObs shaped;
+  return shaped;
+}
+
+void BM_TimelineDump(benchmark::State& state) {
+  const obs::Timeline& timeline = daemon_shaped_obs().timeline;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = timeline.dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TimelineDump)->Unit(benchmark::kMicrosecond);
+
+void BM_JsonDump(benchmark::State& state) {
+  const DaemonShapedObs& shaped = daemon_shaped_obs();
+  obs::Json doc = obs::Json::object();
+  doc["schema"] = "rtsmooth-soak-v1";
+  doc["series"] = obs::Json::parse(shaped.timeline.dump());
+  doc["registry"] = shaped.registry.to_json(false);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = doc.dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_JsonDump)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

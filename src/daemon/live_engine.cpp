@@ -46,8 +46,11 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
                 link ? std::move(link)
                      : std::make_unique<FixedDelayLink>(config_.link_delay),
                 Client(config_.max_live_runs, config_.client_buffer,
-                       config_.playout_offset())),
-      runs_(config_.max_live_runs) {
+                       config_.playout_offset())) {
+  // Reserved, not value-initialized: a slot is filled on its first
+  // admission, and the vector never grows past this, so the run pointers
+  // the client and the server hold stay valid.
+  runs_.reserve(config_.max_live_runs);
   if (telemetry_.enabled()) {
     pipeline_.server().set_telemetry(telemetry_);
     pipeline_.link().set_telemetry(telemetry_);
@@ -80,6 +83,7 @@ void LiveEngine::admit_frame(const IngestFrame& frame, StepStats& st) {
     return;
   }
   const std::size_t seq = next_seq_++;
+  if (seq < config_.max_live_runs) runs_.emplace_back();  // first pass: fill
   SliceRun& run = runs_[seq % runs_.size()];
   run = SliceRun{.arrival = now_,
                  .slice_size = 1,

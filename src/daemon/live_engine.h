@@ -140,7 +140,8 @@ class LiveEngine {
   obs::Telemetry telemetry_;
   Pipeline pipeline_;
   /// Pinned run arena: frame seq lives in runs_[seq % max_live_runs] until
-  /// the client retires it.
+  /// the client retires it. Reserved up front and filled on first
+  /// admission, so it never reallocates.
   std::vector<SliceRun> runs_;
   Time now_ = 0;
   Time record_base_ = 0;

@@ -585,7 +585,10 @@ SimReport Daemon::total_report() const {
 }
 
 obs::Json Daemon::snapshot() const {
-  return snapshot(timeline_ != nullptr ? timeline_->to_json() : obs::Json{});
+  // A navigable tree for callers that read fields; the series comes back
+  // through parse, off the publish path.
+  return snapshot(timeline_ != nullptr ? obs::Json::parse(timeline_->dump())
+                                       : obs::Json{});
 }
 
 obs::Json Daemon::snapshot(obs::Json series) const {
@@ -737,15 +740,18 @@ void Daemon::publish(bool to_file, bool to_endpoint) {
   to_file = to_file && !options_.snapshot_path.empty();
   to_endpoint = to_endpoint && stats_ != nullptr;
   if (!to_file && !to_endpoint) return;
-  obs::Json series = timeline_ != nullptr ? timeline_->to_json() : obs::Json{};
-  // An empty /series body tells the endpoint there is no timeline.
-  std::string series_text;
-  if (to_endpoint && timeline_ != nullptr) series_text = series.dump() + "\n";
-  std::string text = snapshot(std::move(series)).dump() + "\n";
+  // The series is rendered once, and the snapshot splices those bytes in:
+  // the file, /json and /series share one rendering. An empty /series body
+  // tells the endpoint there is no timeline.
+  std::string series = timeline_ != nullptr ? timeline_->dump() : std::string{};
+  std::string text =
+      snapshot(series.empty() ? obs::Json{} : obs::Json::raw(series)).dump();
+  text += '\n';
   if (to_file) write_snapshot(text);
   if (to_endpoint) {
+    if (!series.empty()) series += '\n';
     stats_->publish(std::move(text), obs::to_prometheus(registry_),
-                    std::move(series_text));
+                    std::move(series));
   }
 }
 

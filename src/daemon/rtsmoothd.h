@@ -22,13 +22,14 @@
 //     obs::StatsServer on a unix socket serving the same rtsmooth-soak-v1
 //     document as /json and the registry as Prometheus text on /metrics.
 //     The payload is rebuilt at publish cadence (startup, every
-//     stats_publish_every steps, SIGHUP, shutdown) and swapped in with one
-//     atomic pointer store, so scrapers never touch the serving loop. Every
-//     publish, to the snapshot file, the endpoint or both, builds the
-//     series and the snapshot once and hands the same string to each sink,
-//     so the shutdown /json answer equals the shutdown snapshot file byte
-//     for byte. SIGHUP (request_snapshot()) forces a snapshot write plus a
-//     publish at the next step boundary without stopping.
+//     stats_publish_every steps, SIGHUP, shutdown) and swapped in under a
+//     mutex held for one pointer swap, so scrapers never touch the serving
+//     loop. Every publish, to the snapshot file, the endpoint or both,
+//     renders the timeline's series once straight from its ring, splices
+//     those bytes into the snapshot, and hands the same strings to each
+//     sink, so the shutdown /json answer equals the shutdown snapshot file
+//     byte for byte. SIGHUP (request_snapshot()) forces a snapshot write
+//     plus a publish at the next step boundary without stopping.
 //
 // The daemon-level ledger extends the engine's conservation invariant to
 // ingest: polled == admitted + budget_refused + slot_refused +
@@ -198,7 +199,9 @@ class Daemon {
   const DegradationLadder& ladder() const { return ladder_; }
   /// Cumulative report over every engine epoch plus the live one.
   SimReport total_report() const;
-  /// The rtsmooth-soak-v1 document (also what snapshot_path receives).
+  /// The rtsmooth-soak-v1 document (also what snapshot_path receives) as a
+  /// navigable tree; its dump() plus a newline is what a publish at the
+  /// same moment writes.
   obs::Json snapshot() const;
   /// The stats endpoint, or null when stats_socket_path is empty. Running
   /// from serve() until the Daemon is destroyed.
@@ -249,12 +252,13 @@ class Daemon {
   /// Samples the timeline at step `steps_` and feeds each budget's burn
   /// verdict to the watchdog. No-op without a timeline.
   void sample_timeline();
-  /// The rtsmooth-soak-v1 document around an already built `series`
-  /// (null without a timeline).
+  /// The rtsmooth-soak-v1 document around an already built `series`: a
+  /// parsed tree, a raw fragment, or null without a timeline.
   obs::Json snapshot(obs::Json series) const;
-  /// Builds the series and the snapshot once and hands the same bytes to
-  /// the snapshot file (when `to_file` and a path is set) and to the
-  /// endpoint's /json and /series (when `to_endpoint` and it runs).
+  /// Renders the series once, splices those bytes into the snapshot, and
+  /// hands the same strings to the snapshot file (when `to_file` and a
+  /// path is set) and to the endpoint's /json and /series (when
+  /// `to_endpoint` and it runs).
   void publish(bool to_file, bool to_endpoint);
   void write_snapshot(const std::string& text) const;
   std::vector<IngestFrame> take_group_buffer();

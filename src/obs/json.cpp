@@ -2,62 +2,13 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/assert.h"
 
 namespace rtsmooth::obs {
 namespace {
-
-void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[(static_cast<unsigned char>(c) >> 4) & 0xf]
-             << kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Infinity/NaN; null is the conventional stand-in.
-    os << "null";
-    return;
-  }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  RTS_ASSERT(ec == std::errc());
-  std::string_view text(buf, static_cast<std::size_t>(end - buf));
-  os << text;
-  // Keep a double visibly a double ("3" would read back as an integer).
-  if (text.find_first_of(".eE") == std::string_view::npos) os << ".0";
-}
 
 /// Recursive-descent parser over a string_view. Errors throw with the byte
 /// offset, which is all a command-line forensics tool needs to point at the
@@ -367,48 +318,111 @@ Json& Json::operator[](std::string_view key) {
   return children_.back();
 }
 
-void Json::write(std::ostream& os) const {
+void Json::append_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+          out += kHex[static_cast<unsigned char>(c) & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+void Json::append_int(std::string& out, std::int64_t v) {
+  char buf[20];  // "-9223372036854775808"
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  RTS_ASSERT(ec == std::errc());
+  out.append(buf, end);
+}
+
+void Json::append_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  RTS_ASSERT(ec == std::errc());
+  const std::string_view text(buf, static_cast<std::size_t>(end - buf));
+  out += text;
+  // Keep a double visibly a double ("3" would read back as an integer).
+  if (text.find_first_of(".eE") == std::string_view::npos) out += ".0";
+}
+
+void Json::append_bool(std::string& out, bool v) {
+  out += v ? "true" : "false";
+}
+
+void Json::append_to(std::string& out) const {
   switch (kind_) {
     case Kind::Null:
-      os << "null";
+      out += "null";
       break;
     case Kind::Bool:
-      os << (bool_ ? "true" : "false");
+      append_bool(out, bool_);
       break;
     case Kind::Int:
-      os << int_;
+      append_int(out, int_);
       break;
     case Kind::Double:
-      write_double(os, double_);
+      append_double(out, double_);
       break;
     case Kind::String:
-      write_escaped(os, string_);
+      append_string(out, string_);
+      break;
+    case Kind::Raw:
+      out += string_;
       break;
     case Kind::Array:
-      os << '[';
+      out += '[';
       for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) os << ',';
-        children_[i].write(os);
+        if (i > 0) out += ',';
+        children_[i].append_to(out);
       }
-      os << ']';
+      out += ']';
       break;
     case Kind::Object:
-      os << '{';
+      out += '{';
       for (std::size_t i = 0; i < children_.size(); ++i) {
-        if (i > 0) os << ',';
-        write_escaped(os, keys_[i]);
-        os << ':';
-        children_[i].write(os);
+        if (i > 0) out += ',';
+        append_string(out, keys_[i]);
+        out += ':';
+        children_[i].append_to(out);
       }
-      os << '}';
+      out += '}';
       break;
   }
 }
 
 std::string Json::dump() const {
-  std::ostringstream os;
-  write(os);
-  return std::move(os).str();
+  std::string out;
+  append_to(out);
+  return out;
 }
+
+void Json::write(std::ostream& os) const { os << dump(); }
 
 }  // namespace rtsmooth::obs

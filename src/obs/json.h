@@ -13,6 +13,13 @@
 //   * numbers round-trip: integers print exactly, doubles print the
 //     shortest decimal that parses back to the same value (to_chars), and
 //     parse() keeps the int/double distinction the writer made.
+//
+// The writer appends to one std::string through four scalar appenders
+// (string, int, double, bool). They are public so that a hot document can
+// be written straight into a string without building a tree first
+// (Timeline::dump), with bytes that cannot drift from dump()'s. Such a
+// pre-serialized document rejoins a tree as a Json::raw fragment, which
+// dump() emits verbatim.
 
 #pragma once
 
@@ -26,9 +33,10 @@
 
 namespace rtsmooth::obs {
 
-/// One JSON value: null, bool, integer, double, string, array, or an
-/// insertion-ordered object. Build with the constructors plus push_back()
-/// (arrays) and operator[] (objects); serialize with dump() / write().
+/// One JSON value: null, bool, integer, double, string, array, an
+/// insertion-ordered object, or a raw (pre-serialized) fragment. Build with
+/// the constructors plus push_back() (arrays) and operator[] (objects);
+/// serialize with dump() / write().
 class Json {
  public:
   Json() = default;
@@ -53,6 +61,16 @@ class Json {
   static Json object() {
     Json j;
     j.kind_ = Kind::Object;
+    return j;
+  }
+  /// A pre-serialized value that dump() emits verbatim. The caller vouches
+  /// that `text` is one JSON value (the publish path splices the timeline's
+  /// series this way); parse() never makes one, and every accessor throws
+  /// on it like on any other kind mismatch.
+  static Json raw(std::string text) {
+    Json j;
+    j.kind_ = Kind::Raw;
+    j.string_ = std::move(text);
     return j;
   }
 
@@ -104,18 +122,30 @@ class Json {
 
   /// Serializes compactly (no whitespace), keys in insertion order.
   std::string dump() const;
+  /// Writes dump()'s bytes.
   void write(std::ostream& os) const;
+
+  // The scalar writers dump() is made of, each appending to `out`.
+  /// Quoted, with quotes, backslashes and control characters escaped.
+  static void append_string(std::string& out, std::string_view s);
+  static void append_int(std::string& out, std::int64_t v);
+  /// Shortest round-trip form, kept visibly a double ("3.0"); non-finite
+  /// values, which JSON cannot represent, become null.
+  static void append_double(std::string& out, double v);
+  static void append_bool(std::string& out, bool v);
 
   bool operator==(const Json&) const = default;
 
  private:
-  enum class Kind { Null, Bool, Int, Double, String, Array, Object };
+  enum class Kind { Null, Bool, Int, Double, String, Array, Object, Raw };
+
+  void append_to(std::string& out) const;
 
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   std::int64_t int_ = 0;
   double double_ = 0.0;
-  std::string string_;
+  std::string string_;            ///< string value / raw fragment text
   std::vector<Json> children_;    ///< array elements / object values
   std::vector<std::string> keys_; ///< object keys, parallel to children_
 };

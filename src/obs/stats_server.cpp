@@ -61,7 +61,6 @@ StatsServer::StatsServer(StatsServerConfig config)
   if (config_.max_request_bytes < 16) {
     throw std::invalid_argument("stats server: max_request_bytes too small");
   }
-  payload_.store(nullptr);
 }
 
 StatsServer::~StatsServer() { stop(); }
@@ -116,7 +115,12 @@ void StatsServer::publish(std::string json, std::string prometheus,
                           std::string series) {
   auto payload = std::make_shared<const Payload>(
       Payload{std::move(json), std::move(prometheus), std::move(series)});
-  payload_.store(std::move(payload));
+  {
+    const std::lock_guard<std::mutex> lock(payload_mutex_);
+    payload_.swap(payload);
+  }
+  // The previous epoch dies here, outside the lock, unless a scraper still
+  // holds it.
 }
 
 StatsServer::Stats StatsServer::stats() const {
@@ -205,7 +209,11 @@ void StatsServer::handle_client(int fd) {
     respond(fd, 404, "Not Found", "text/plain", "unknown path\n");
     return;
   }
-  const std::shared_ptr<const Payload> payload = payload_.load();
+  std::shared_ptr<const Payload> payload;
+  {
+    const std::lock_guard<std::mutex> lock(payload_mutex_);
+    payload = payload_;
+  }
   if (payload == nullptr) {
     unavailable_.fetch_add(1);
     respond(fd, 503, "Service Unavailable", "text/plain",

@@ -4,12 +4,13 @@
 //
 // Publication contract (DESIGN.md Sect. 15):
 //
-//   * publish() swaps an immutable {JSON, Prometheus} document pair into
-//     an atomic shared_ptr (epoch swap). The engine thread allocates the
+//   * publish() swaps an immutable {JSON, Prometheus, series} payload in
+//     behind a shared_ptr (epoch swap). The engine thread allocates the
 //     strings off the per-step hot path (only at publish cadence), then
-//     performs one pointer store; scrapers copy the pointer and read the
-//     frozen strings lock-free. No scraper can block, slow, or tear a
-//     publisher, and vice versa.
+//     holds a mutex for one pointer swap; a scraper holds it for one
+//     pointer copy and reads the frozen strings without it. Neither side
+//     ever waits longer than the other's pointer operation, and no scraper
+//     can slow or tear a publisher, or vice versa.
 //   * The server owns one background thread: poll() over the listen
 //     socket and a self-pipe, connections handled one at a time with
 //     short socket timeouts (requests and responses are tiny).
@@ -33,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -73,9 +75,10 @@ class StatsServer {
   bool running() const { return thread_.joinable(); }
   const std::string& socket_path() const { return config_.socket_path; }
 
-  /// Atomically replaces the served documents (see file comment). Safe to
-  /// call before start() and from any single publisher thread. An empty
-  /// `series` means the publisher has no timeline; /series answers 404.
+  /// Replaces the served documents in one pointer swap (see file comment).
+  /// Safe to call before start() and from any single publisher thread. An
+  /// empty `series` means the publisher has no timeline; /series answers
+  /// 404.
   void publish(std::string json, std::string prometheus,
                std::string series = {});
 
@@ -112,7 +115,9 @@ class StatsServer {
   int wake_fds_[2] = {-1, -1};  ///< self-pipe: stop() wakes the poll loop
   std::thread thread_;
 
-  std::atomic<std::shared_ptr<const Payload>> payload_;
+  /// Guards only the pointer: held for one swap or one copy.
+  std::mutex payload_mutex_;
+  std::shared_ptr<const Payload> payload_;
 
   std::atomic<std::int64_t> accepted_{0};
   std::atomic<std::int64_t> served_json_{0};

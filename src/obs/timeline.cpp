@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+
+#include "obs/json.h"
 
 namespace rtsmooth::obs {
 
@@ -183,95 +186,140 @@ void Timeline::recompute_burn() {
   }
 }
 
-Json Timeline::to_json() const {
-  Json doc = Json::object();
-  doc["schema"] = "rtsmooth-series-v1";
-  doc["slot_steps"] = config_.slot_steps;
-  doc["capacity"] = static_cast<std::int64_t>(config_.capacity);
-  doc["slots"] = static_cast<std::int64_t>(slot_end_steps_.size());
-  doc["evicted"] = evicted_;
-  Json ends = Json::array();
-  for (const std::int64_t t : slot_end_steps_) ends.push_back(t);
-  doc["slot_end_steps"] = std::move(ends);
+namespace {
 
-  Json counters = Json::object();
+/// Opens an object member: a comma unless the member is the object's
+/// first, then the quoted name and a colon.
+void key(std::string& out, std::string_view name) {
+  if (out.back() != '{') out += ',';
+  Json::append_string(out, name);
+  out += ':';
+}
+
+void append_ints(std::string& out, const std::vector<std::int64_t>& values) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    Json::append_int(out, values[i]);
+  }
+  out += ']';
+}
+
+void append_strings(std::string& out, const std::vector<std::string>& values) {
+  out += '[';
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out += ',';
+    Json::append_string(out, values[i]);
+  }
+  out += ']';
+}
+
+/// One delta-encoded column: {"base":…,"deltas":[…],"total":…}.
+void append_column(std::string& out, std::int64_t base,
+                   const std::vector<std::int64_t>& deltas,
+                   std::int64_t total) {
+  out += '{';
+  key(out, "base");
+  Json::append_int(out, base);
+  key(out, "deltas");
+  append_ints(out, deltas);
+  key(out, "total");
+  Json::append_int(out, total);
+  out += '}';
+}
+
+}  // namespace
+
+std::string Timeline::dump() const {
+  std::string out = "{";
+  key(out, "schema");
+  Json::append_string(out, "rtsmooth-series-v1");
+  key(out, "slot_steps");
+  Json::append_int(out, config_.slot_steps);
+  key(out, "capacity");
+  Json::append_int(out, static_cast<std::int64_t>(config_.capacity));
+  key(out, "slots");
+  Json::append_int(out, static_cast<std::int64_t>(slot_end_steps_.size()));
+  key(out, "evicted");
+  Json::append_int(out, evicted_);
+  key(out, "slot_end_steps");
+  append_ints(out, slot_end_steps_);
+
+  key(out, "counters");
+  out += '{';
   for (const auto& [name, s] : counters_) {
-    Json c = Json::object();
-    c["base"] = s.base;
-    Json deltas = Json::array();
-    for (const std::int64_t d : s.deltas) deltas.push_back(d);
-    c["deltas"] = std::move(deltas);
-    c["total"] = s.prev;  // base + sum(deltas) == total, by construction
-    counters[name] = std::move(c);
+    key(out, name);
+    // base + sum(deltas) == total, by construction.
+    append_column(out, s.base, s.deltas, s.prev);
   }
-  doc["counters"] = std::move(counters);
+  out += '}';
 
-  Json gauges = Json::object();
+  key(out, "gauges");
+  out += '{';
   for (const auto& [name, s] : gauges_) {
-    Json values = Json::array();
-    for (const std::int64_t v : s.values) values.push_back(v);
-    gauges[name] = std::move(values);
+    key(out, name);
+    append_ints(out, s.values);
   }
-  doc["gauges"] = std::move(gauges);
+  out += '}';
 
-  Json histograms = Json::object();
+  key(out, "histograms");
+  out += '{';
   for (const auto& [name, s] : histograms_) {
-    Json h = Json::object();
-    Json bounds = Json::array();
-    for (const std::int64_t b : s.bounds) bounds.push_back(b);
-    h["bounds"] = std::move(bounds);
-    const auto series = [](std::int64_t base,
-                           const std::vector<std::int64_t>& deltas,
-                           std::int64_t total) {
-      Json j = Json::object();
-      j["base"] = base;
-      Json d = Json::array();
-      for (const std::int64_t v : deltas) d.push_back(v);
-      j["deltas"] = std::move(d);
-      j["total"] = total;
-      return j;
-    };
-    h["count"] = series(s.base_count, s.count_deltas, s.prev_count);
-    h["sum"] = series(s.base_sum, s.sum_deltas, s.prev_sum);
-    Json bucket_base = Json::array();
-    for (const std::int64_t v : s.base_counts) bucket_base.push_back(v);
-    h["bucket_base"] = std::move(bucket_base);
-    Json buckets = Json::array();
-    for (const std::vector<std::int64_t>& slot : s.bucket_deltas) {
-      Json row = Json::array();
-      for (const std::int64_t v : slot) row.push_back(v);
-      buckets.push_back(std::move(row));
+    key(out, name);
+    out += '{';
+    key(out, "bounds");
+    append_ints(out, s.bounds);
+    key(out, "count");
+    append_column(out, s.base_count, s.count_deltas, s.prev_count);
+    key(out, "sum");
+    append_column(out, s.base_sum, s.sum_deltas, s.prev_sum);
+    key(out, "bucket_base");
+    append_ints(out, s.base_counts);
+    key(out, "buckets");
+    out += '[';
+    for (std::size_t i = 0; i < s.bucket_deltas.size(); ++i) {
+      if (i > 0) out += ',';
+      append_ints(out, s.bucket_deltas[i]);
     }
-    h["buckets"] = std::move(buckets);
-    histograms[name] = std::move(h);
+    out += "]}";
   }
-  doc["histograms"] = std::move(histograms);
+  out += '}';
 
-  Json burn = Json::object();
-  burn["short_slots"] = static_cast<std::int64_t>(config_.short_slots);
-  burn["long_slots"] = static_cast<std::int64_t>(config_.long_slots);
-  Json budgets = Json::array();
-  for (const BurnStatus& status : burn_) {
+  key(out, "burn");
+  out += '{';
+  key(out, "short_slots");
+  Json::append_int(out, static_cast<std::int64_t>(config_.short_slots));
+  key(out, "long_slots");
+  Json::append_int(out, static_cast<std::int64_t>(config_.long_slots));
+  key(out, "budgets");
+  out += '[';
+  for (std::size_t i = 0; i < burn_.size(); ++i) {
+    const BurnStatus& status = burn_[i];
     const BurnBudget& b = *status.budget;
-    Json j = Json::object();
-    j["name"] = b.name;
-    j["budget"] = b.budget;
-    j["threshold"] = b.threshold;
-    Json bad = Json::array();
-    for (const std::string& n : b.bad) bad.push_back(n);
-    j["bad"] = std::move(bad);
-    Json total = Json::array();
-    for (const std::string& n : b.total) total.push_back(n);
-    j["total"] = std::move(total);
-    j["short_burn"] = status.short_burn;
-    j["long_burn"] = status.long_burn;
-    j["firing"] = status.firing;
-    j["alerts"] = status.alerts;
-    budgets.push_back(std::move(j));
+    if (i > 0) out += ',';
+    out += '{';
+    key(out, "name");
+    Json::append_string(out, b.name);
+    key(out, "budget");
+    Json::append_double(out, b.budget);
+    key(out, "threshold");
+    Json::append_double(out, b.threshold);
+    key(out, "bad");
+    append_strings(out, b.bad);
+    key(out, "total");
+    append_strings(out, b.total);
+    key(out, "short_burn");
+    Json::append_double(out, status.short_burn);
+    key(out, "long_burn");
+    Json::append_double(out, status.long_burn);
+    key(out, "firing");
+    Json::append_bool(out, status.firing);
+    key(out, "alerts");
+    Json::append_int(out, status.alerts);
+    out += '}';
   }
-  burn["budgets"] = std::move(budgets);
-  doc["burn"] = std::move(burn);
-  return doc;
+  out += "]}}";
+  return out;
 }
 
 }  // namespace rtsmooth::obs

@@ -24,6 +24,12 @@
 // each sample's BurnStatus to the Watchdog, which turns sustained burns
 // into incidents (rate-limited like every other breach).
 //
+// Serialization: dump() writes the rtsmooth-series-v1 document straight
+// from the counter, gauge and histogram columns into one string, through
+// the same scalar appenders as obs::Json, so one publish costs about one
+// pass over the ring's integers. The daemon renders it once per publish
+// and splices the bytes into its snapshot (Json::raw).
+//
 // Determinism: metric columns live in lexicographic maps, timers are
 // excluded, and every stored quantity derives from registry integers — the
 // dumped document is byte-identical across RTSMOOTH_THREADS, pinned like
@@ -36,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
 #include "obs/telemetry.h"
 
 namespace rtsmooth::obs {
@@ -102,8 +107,10 @@ class Timeline {
   const std::vector<BurnStatus>& burn() const { return burn_; }
 
   /// The rtsmooth-series-v1 document (see DESIGN.md Sect. 16 for the full
-  /// schema). Deterministic: lexicographic metric order, timers excluded.
-  Json to_json() const;
+  /// schema), written straight from the columns into one string with
+  /// Json's scalar appenders; no tree is built. Deterministic:
+  /// lexicographic metric order, timers excluded.
+  std::string dump() const;
 
  private:
   struct CounterSeries {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -69,6 +70,50 @@ TEST(Json, ArraysAndNesting) {
   inner["k"] = Json();
   arr.push_back(std::move(inner));
   EXPECT_EQ(arr.dump(), "[1,\"two\",{\"k\":null}]");
+}
+
+TEST(Json, RawFragmentDumpsVerbatimInObjectsAndArrays) {
+  const std::string fragment = R"({"a":[1,2.5,"x\ty"],"b":{"c":null}})";
+  Json obj = Json::object();
+  obj["before"] = 1;
+  obj["raw"] = Json::raw(fragment);
+  obj["after"] = "z";
+  EXPECT_EQ(obj.dump(), "{\"before\":1,\"raw\":" + fragment +
+                            ",\"after\":\"z\"}");
+  Json arr = Json::array();
+  arr.push_back(Json::raw(fragment));
+  arr.push_back(Json::raw("7"));
+  EXPECT_EQ(arr.dump(), "[" + fragment + ",7]");
+
+  // Parsing the spliced document gives the tree parsing the fragment gives.
+  const Json parsed = Json::parse(obj.dump());
+  EXPECT_EQ(parsed.at("raw"), Json::parse(fragment));
+  EXPECT_EQ(Json::parse(arr.dump()).at(0), Json::parse(fragment));
+  EXPECT_EQ(parsed.dump(), obj.dump());
+
+  // A raw fragment is opaque: every accessor throws, like on any other
+  // kind mismatch.
+  const Json raw = Json::raw(fragment);
+  EXPECT_FALSE(raw.is_object());
+  EXPECT_FALSE(raw.is_string());
+  EXPECT_EQ(raw.find("a"), nullptr);
+  EXPECT_THROW((void)raw.at("a"), std::runtime_error);
+  EXPECT_THROW((void)raw.at(std::size_t{0}), std::runtime_error);
+  EXPECT_THROW((void)raw.as_string(), std::runtime_error);
+  EXPECT_THROW((void)raw.as_int(), std::runtime_error);
+}
+
+TEST(Json, WriterHandlesIntegerExtremesAndAdjacentEscapes) {
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(),
+            "-9223372036854775808");
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::max()).dump(),
+            "9223372036854775807");
+  EXPECT_EQ(Json(-0.0).dump(), "-0.0");
+  EXPECT_EQ(Json(1e300).dump(), "1e+300");
+  // Escapes back to back and between plain bytes; UTF-8 passes through.
+  std::string out;
+  Json::append_string(out, std::string("ab\"\\\x1f\ncd\xc3\xa9"));
+  EXPECT_EQ(out, "\"ab\\\"\\\\\\u001f\\ncd\xc3\xa9\"");
 }
 
 // ------------------------------------------------------------ Json parse

@@ -373,6 +373,8 @@ TEST(DaemonStats, ShutdownEndpointEqualsSnapshotFileByteForByte) {
   daemon::Daemon d(opts, std::make_unique<daemon::GeneratorSource>(
                              small_generator(400)));
   EXPECT_EQ(d.serve(), 0);
+  // Taken before any scrape moves the endpoint's own tallies.
+  const std::string tree = d.snapshot().dump() + "\n";
 
   // The endpoint outlives serve() (until the Daemon is destroyed), still
   // holding the shutdown publish — the same string write_outputs() froze
@@ -384,6 +386,7 @@ TEST(DaemonStats, ShutdownEndpointEqualsSnapshotFileByteForByte) {
   std::ostringstream file_text;
   file_text << in.rdbuf();
   EXPECT_EQ(json.body, file_text.str());
+  EXPECT_EQ(json.body, tree);
 
   const obs::Json doc = obs::Json::parse(json.body);
   EXPECT_EQ(doc.at("schema").as_string(), "rtsmooth-soak-v1");
@@ -399,6 +402,44 @@ TEST(DaemonStats, ShutdownEndpointEqualsSnapshotFileByteForByte) {
       metrics.body.find("# TYPE rtsmooth_daemon_ingest_stalled_polls counter"),
       std::string::npos);
   EXPECT_NE(metrics.body.find("rtsmooth_daemon_snapshot_sighup 0"),
+            std::string::npos);
+}
+
+TEST(DaemonStats, SplicedSeriesSnapshotEqualsTreeFileAndSeriesByteForByte) {
+  const std::string dir = ::testing::TempDir() + "rtsmoothd_stats_splice";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string sock = socket_path("stats_splice.sock");
+  daemon::DaemonOptions opts = stats_daemon_options(sock);
+  opts.snapshot_path = dir + "/snapshot.json";
+  opts.timeline.slot_steps = 16;
+  opts.timeline.capacity = 8;
+  opts.timeline.short_slots = 2;
+  opts.timeline.long_slots = 4;
+  opts.timeline.budgets = daemon::default_slo_budgets();
+  daemon::Daemon d(opts, std::make_unique<daemon::GeneratorSource>(
+                             small_generator(400)));
+  EXPECT_EQ(d.serve(), 0);
+  ASSERT_NE(d.timeline(), nullptr);
+  EXPECT_GT(d.timeline()->evicted(), 0);  // the ring wrapped into base
+  // The navigable tree parses the series back from the timeline's bytes;
+  // dumped, it must give the very bytes the shutdown publish spliced.
+  const std::string tree = d.snapshot().dump() + "\n";
+
+  const Exchange json = get(sock, "/json");
+  ASSERT_EQ(json.status, 200);
+  EXPECT_EQ(json.body, tree);
+  std::ifstream in(opts.snapshot_path, std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream file_text;
+  file_text << in.rdbuf();
+  EXPECT_EQ(json.body, file_text.str());
+
+  // /series serves the same rendering the snapshot embeds.
+  const Exchange series = get(sock, "/series");
+  ASSERT_EQ(series.status, 200);
+  EXPECT_EQ(series.body, d.timeline()->dump() + "\n");
+  EXPECT_NE(json.body.find("\"series\":" + d.timeline()->dump() + ","),
             std::string::npos);
 }
 

@@ -2,7 +2,7 @@
 // registry, the base-folding eviction invariant (base + sum(deltas) ==
 // total at every instant), merge-on-same-step sampling, mid-run metric
 // appearance, multi-window burn-rate math with its both-windows gate, and
-// the determinism of the rtsmooth-series-v1 dump.
+// the determinism of the rtsmooth-series-v1 dump and its exact bytes.
 
 #include <gtest/gtest.h>
 
@@ -92,7 +92,7 @@ TEST(Timeline, DeltaEncodesCountersGaugesAndHistograms) {
   sizes.record(50);  // overflow bucket
   timeline.sample(20, registry);
 
-  const Json doc = timeline.to_json();
+  const Json doc = Json::parse(timeline.dump());
   EXPECT_EQ(doc.at("schema").as_string(), "rtsmooth-series-v1");
   EXPECT_EQ(doc.at("slots").as_int(), 2);
   EXPECT_EQ(doc.at("evicted").as_int(), 0);
@@ -137,7 +137,7 @@ TEST(Timeline, EvictionFoldsOldestSlotIntoBase) {
 
   EXPECT_EQ(timeline.slots(), 2u);
   EXPECT_EQ(timeline.evicted(), 3);
-  const Json doc = timeline.to_json();
+  const Json doc = Json::parse(timeline.dump());
   const Json& column = doc.at("counters").at("c");
   EXPECT_EQ(column.at("base").as_int(), 1 + 2 + 3);
   EXPECT_EQ(column.at("deltas").at(0).as_int(), 4);
@@ -169,7 +169,7 @@ TEST(Timeline, SampleAtSameStepMergesIntoLastSlot) {
   timeline.sample(10, registry);
 
   EXPECT_EQ(timeline.slots(), 1u);
-  const Json doc = timeline.to_json();
+  const Json doc = Json::parse(timeline.dump());
   EXPECT_EQ(doc.at("counters").at("c").at("deltas").at(0).as_int(), 15);
   EXPECT_EQ(doc.at("counters").at("c").at("total").as_int(), 15);
   expect_conserves(doc, "c");
@@ -185,7 +185,7 @@ TEST(Timeline, MetricAppearingMidRunZeroFillsItsHistory) {
   registry.gauge("late_gauge").update(4);
   timeline.sample(20, registry);
 
-  const Json doc = timeline.to_json();
+  const Json doc = Json::parse(timeline.dump());
   const Json& late = doc.at("counters").at("late");
   EXPECT_EQ(late.at("deltas").size(), 2u);
   EXPECT_EQ(late.at("deltas").at(0).as_int(), 0);  // zero-filled history
@@ -281,13 +281,97 @@ TEST(Timeline, DumpIsDeterministicAcrossIdenticalFeeds) {
           .record(t, 3);
       timeline.sample(t * 10, registry);
     }
-    return timeline.to_json().dump();
+    return timeline.dump();
   };
   const std::string first = run();
   EXPECT_EQ(first, run());
   EXPECT_NE(first.find("\"a.first\""), std::string::npos);
   // Lexicographic metric order, independent of registration order.
   EXPECT_LT(first.find("\"a.first\""), first.find("\"z.last\""));
+}
+
+/// Feeds a capacity-4 ring nine samples: eight slots, so four evict into
+/// base; a counter, a gauge and a histogram that appear mid-run; a sample
+/// at the same step that merges into the last slot; and budgets whose burn
+/// rates are not whole numbers, one of them firing and one named with
+/// characters that need escaping.
+std::string golden_feed_dump() {
+  TimelineConfig config;
+  config.slot_steps = 10;
+  config.capacity = 4;
+  config.short_slots = 2;
+  config.long_slots = 3;
+  config.budgets.push_back(BurnBudget{.name = "miss \"late\"\t",
+                                      .bad = {"late"},
+                                      .total = {"played", "late"},
+                                      .budget = 0.03,
+                                      .threshold = 1.5});
+  config.budgets.push_back(BurnBudget{
+      .name = "hot", .bad = {"late"}, .total = {"played"}, .budget = 0.01});
+  config.budgets.push_back(BurnBudget{.name = "ghost",
+                                      .bad = {"no.such"},
+                                      .total = {"played"},
+                                      .budget = 0.7});
+  Timeline timeline(config);
+  Registry registry;
+  Counter& played = registry.counter("played");
+  Gauge& depth = registry.gauge("depth");
+  Histogram& sizes =
+      registry.histogram("sizes", HistogramSpec::exponential(2, 3));
+  for (std::int64_t i = 1; i <= 7; ++i) {
+    played.add(97 * i);
+    depth.update(3 * i + (i % 3));
+    sizes.record(i * i, i);
+    if (i >= 2) {
+      registry.histogram("late.sizes", HistogramSpec::linear(5, 2))
+          .record(7 * i);
+    }
+    if (i >= 3) registry.counter("late").add(i + 1);
+    if (i >= 4) registry.gauge("late.depth").update(10 + i);
+    timeline.sample(i * 10, registry);
+  }
+  played.add(5);
+  registry.counter("late").add(2);
+  sizes.record(1);
+  timeline.sample(70, registry);  // same step: merges into the last slot
+  played.add(13);
+  timeline.sample(80, registry);
+  EXPECT_EQ(timeline.slots(), 4u);
+  EXPECT_EQ(timeline.evicted(), 4);
+  return timeline.dump();
+}
+
+TEST(Timeline, DumpMatchesGoldenBytesThroughEvictionMergeAndBurn) {
+  // The exact rtsmooth-series-v1 bytes: key order, integer and shortest
+  // double forms, and escapes, through eviction, merge and burn.
+  const std::string golden =
+      R"json({"schema":"rtsmooth-series-v1","slot_steps":10,"capacity":4,)json"
+      R"json("slots":4,"evicted":4,"slot_end_steps":[50,60,70,80],)json"
+      R"json("counters":{"late":{"base":9,"deltas":[6,7,10,0],"total":32},)json"
+      R"json("played":{"base":970,"deltas":[485,582,684,13],)json"
+      R"json("total":2734}},)json"
+      R"json("gauges":{"depth":[17,18,22,22],"late.depth":[15,16,17,17]},)json"
+      R"json("histograms":{"late.sizes":{"bounds":[5,10],)json"
+      R"json("count":{"base":3,"deltas":[1,1,1,0],"total":6},)json"
+      R"json("sum":{"base":63,"deltas":[35,42,49,0],"total":189},)json"
+      R"json("bucket_base":[0,0,3],"buckets":[[0,0,1],[0,0,1],[0,0,1],[0,)json"
+      R"json(0,0]]},)json"
+      R"json("sizes":{"bounds":[2,4,8],"count":{"base":10,"deltas":[5,6,8,)json"
+      R"json(0],"total":29},"sum":{"base":100,"deltas":[125,216,344,0],)json"
+      R"json("total":785},"bucket_base":[1,2,0,7],"buckets":[[0,0,0,5],[0,)json"
+      R"json(0,0,6],[1,0,0,7],[0,0,0,0]]}},)json"
+      R"json("burn":{"short_slots":2,"long_slots":3,)json"
+      R"json("budgets":[{"name":"miss \"late\"\t","budget":0.03,)json"
+      R"json("threshold":1.5,"bad":["late"],"total":["played","late"],)json"
+      R"json("short_burn":0.47147571900047147,)json"
+      R"json("long_burn":0.43724279835390945,"firing":false,"alerts":0},)json"
+      R"json({"name":"hot","budget":0.01,"threshold":1.0,"bad":["late"],)json"
+      R"json("total":["played"],"short_burn":1.4347202295552366,)json"
+      R"json("long_burn":1.3291634089132134,"firing":true,"alerts":6},)json"
+      R"json({"name":"ghost","budget":0.7,"threshold":1.0,)json"
+      R"json("bad":["no.such"],"total":["played"],"short_burn":0.0,)json"
+      R"json("long_burn":0.0,"firing":false,"alerts":0}]}})json";
+  EXPECT_EQ(golden_feed_dump(), golden);
 }
 
 }  // namespace
