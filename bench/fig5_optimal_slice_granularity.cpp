@@ -5,7 +5,8 @@
 // increases."
 //
 // Byte-slice optimum: polymatroid greedy (exact). Whole-frame optimum:
-// Pareto DP (exact unless the state cap is hit, flagged in the output).
+// bracketed by the quantized Pareto DP (offline::quantized_optimal_bracket),
+// printed as the provable [lo, hi] loss pair.
 
 #include <iostream>
 

@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): off-line solver scaling — the
-// polymatroid greedy's O(n log T) on byte-slice clips and the Pareto DP on
-// whole-frame clips, across clip lengths.
+// polymatroid greedy's O(n log n + n log T) on byte-slice clips and the
+// Pareto DP on whole-frame clips, across clip lengths. The largest greedy
+// size, 10000 frames, is perfbench sweep_dense's clip length.
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +34,7 @@ void BM_UnitOptimal(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(frames));
 }
-BENCHMARK(BM_UnitOptimal)->Arg(250)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_UnitOptimal)->Arg(250)->Arg(1000)->Arg(4000)->Arg(10000);
 
 void BM_ParetoDp(benchmark::State& state) {
   const auto frames = static_cast<std::size_t>(state.range(0));

@@ -15,7 +15,8 @@ struct State {
 /// Sorts by occupancy and removes dominated states: afterwards occupancy is
 /// strictly increasing and weight strictly increasing (equal-occupancy
 /// states keep the max weight; a heavier state with smaller occupancy
-/// dominates everything after it).
+/// dominates everything after it). Only the state-limit fallback needs the
+/// sort; the DP's own steps keep the frontier sorted.
 void prune(std::vector<State>& states) {
   std::sort(states.begin(), states.end(), [](const State& a, const State& b) {
     if (a.occ != b.occ) return a.occ < b.occ;
@@ -40,9 +41,62 @@ struct Item {
   Weight weight;
 };
 
+/// Folds one slice into the frontier, writing the next frontier to `out`:
+/// the merge, in occupancy order, of the drop list (the frontier itself) and
+/// the keep list (the prefix that fits `cap`, shifted by the slice). Both
+/// lists are sorted, so one pass visits every state in the order prune()'s
+/// sort would, heavier first on equal occupancy, and keeps exactly the states
+/// prune() keeps: those strictly heavier than the last one kept.
+void fold_slice(const std::vector<State>& frontier, const Item& item,
+                Bytes cap, std::vector<State>& out) {
+  out.clear();
+  out.reserve(2 * frontier.size());
+  Weight best = -1.0;
+  const auto emit = [&out, &best](const State& s) {
+    if (s.weight > best) {
+      out.push_back(s);
+      best = s.weight;
+    }
+  };
+  const std::size_t n = frontier.size();
+  std::size_t drop = 0;
+  for (const State& base : frontier) {
+    if (base.occ + item.size > cap) break;
+    const State keep{.occ = base.occ + item.size,
+                     .weight = base.weight + item.weight};
+    while (drop < n && (frontier[drop].occ < keep.occ ||
+                        (frontier[drop].occ == keep.occ &&
+                         frontier[drop].weight >= keep.weight))) {
+      emit(frontier[drop++]);
+    }
+    emit(keep);
+  }
+  while (drop < n) emit(frontier[drop++]);
+}
+
+/// Work-conserving send of up to `rate` bytes, in place: the states at or
+/// below `rate` all drain to occupancy 0, where the last (heaviest) of them
+/// dominates the rest; the others shift down by `rate`, staying sorted, until
+/// the first that would exceed `buffer` ends the frontier.
+void drain(std::vector<State>& frontier, Bytes buffer, Bytes rate) {
+  auto first = std::partition_point(
+      frontier.begin(), frontier.end(),
+      [rate](const State& s) { return s.occ <= rate; });
+  if (first != frontier.begin()) --first;
+  auto out = frontier.begin();
+  for (; first != frontier.end(); ++first) {
+    const Bytes occ = std::max<Bytes>(0, first->occ - rate);
+    if (occ > buffer) break;
+    *out++ = State{.occ = occ, .weight = first->weight};
+  }
+  frontier.erase(out, frontier.end());
+}
+
 /// Core DP over per-step item lists. See the header for the model: fold
 /// each slice as keep/drop with transient cap buffer+rate, then drain
-/// `rate` and require post-send occupancy <= buffer.
+/// `rate` and require post-send occupancy <= buffer. Invariant between
+/// operations: along the frontier, occupancy and weight both strictly
+/// increase.
 ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
                        Bytes buffer, Bytes rate, std::size_t state_limit) {
   ParetoDpResult result;
@@ -51,16 +105,7 @@ ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
   std::vector<State> scratch;
   for (const auto& arrivals : steps) {
     for (const Item& item : arrivals) {
-      scratch.clear();
-      scratch.reserve(frontier.size() * 2);
-      for (const State& s : frontier) {
-        scratch.push_back(s);  // drop this slice
-        const Bytes occ = s.occ + item.size;
-        if (occ <= transient_cap) {  // keep it
-          scratch.push_back(State{.occ = occ, .weight = s.weight + item.weight});
-        }
-      }
-      prune(scratch);
+      fold_slice(frontier, item, transient_cap, scratch);
       if (scratch.size() > state_limit) {
         // Keep the heaviest states; every kept state is still feasible, so
         // the answer becomes a lower bound.
@@ -76,21 +121,10 @@ ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
       frontier.swap(scratch);
       result.peak_states = std::max(result.peak_states, frontier.size());
     }
-    // Work-conserving send of up to `rate` bytes; post-send occupancy must
-    // respect the buffer bound.
-    scratch.clear();
-    scratch.reserve(frontier.size());
-    for (const State& s : frontier) {
-      const Bytes occ = std::max<Bytes>(0, s.occ - rate);
-      if (occ <= buffer) scratch.push_back(State{.occ = occ, .weight = s.weight});
-    }
-    prune(scratch);
-    frontier.swap(scratch);
-    RTS_ASSERT(!frontier.empty());  // the all-drop state always survives
+    drain(frontier, buffer, rate);
+    RTS_ASSERT(!frontier.empty());  // some state always fits after the send
   }
-  for (const State& s : frontier) {
-    result.benefit = std::max(result.benefit, s.weight);
-  }
+  result.benefit = frontier.back().weight;  // the heaviest state
   return result;
 }
 

@@ -11,8 +11,12 @@
 // all future constraints monotonically), so pruning preserves optimality and
 // the result is exact.
 //
-// Cost: the frontier is small in practice (hundreds for MPEG-like streams);
-// `StateLimit` guards pathological growth — if it is ever hit, the solver
+// Cost: the frontier stays sorted by occupancy (and so by weight), so each
+// slice is one linear merge of the frontier with its shifted prefix and each
+// step's drain one in-place pass: O(frontier) per slice. The frontier is not
+// small: on MPEG-like whole-frame clips with a buffer of twice the largest
+// frame it peaks at about 270k states (micro_offline's BM_ParetoDp).
+// `state_limit` guards pathological growth — if it is ever hit, the solver
 // keeps the best `limit` states by weight and sets `exact = false` so
 // callers can tell an exact answer from a (still feasible) lower bound.
 
@@ -35,7 +39,7 @@ struct ParetoDpResult {
 /// Optimal benefit for `stream` with server buffer `buffer` and rate `rate`.
 /// Exact for arbitrary slice sizes; intended for streams whose per-step
 /// slice counts are small (whole frames, packets). For unit slices prefer
-/// unit_optimal, which is O(n log T); tests cross-validate the two.
+/// unit_optimal, which is O(n log n + n log T); tests cross-validate the two.
 ParetoDpResult pareto_dp_optimal(const Stream& stream, Bytes buffer,
                                  Bytes rate,
                                  std::size_t state_limit = 1u << 20);
@@ -53,7 +57,7 @@ ParetoDpResult pareto_dp_optimal(const Stream& stream, Bytes buffer,
 ///          upper-bounds the true one.
 ///
 /// Occupancy states live on a grid of (buffer+rate)/quantum points, so each
-/// DP runs in O(steps * (buffer+rate)/quantum). Shrinking `quantum` tightens
+/// DP runs in O(slices * (buffer+rate)/quantum). Shrinking `quantum` tightens
 /// the bracket at linear cost.
 struct OptimalBracket {
   Weight lower = 0.0;

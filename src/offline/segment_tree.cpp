@@ -1,95 +1,81 @@
 #include "offline/segment_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/assert.h"
 
 namespace rtsmooth::offline {
+namespace {
+
+/// Padding leaves start at max = -kPad and min = +kPad. Real values stay
+/// within 2^61 of zero, and so does the total of all adds (in the solver both
+/// are bounded by R*T plus the stream's bytes), so a padding value never wins
+/// a max or a min, and nothing overflows.
+constexpr std::int64_t kPad = std::int64_t{1} << 62;
+
+}  // namespace
 
 RangeAddTree::RangeAddTree(std::size_t n, std::int64_t base, std::int64_t step)
-    : n_(n) {
+    : n_(n), leaves_(std::bit_ceil(n)), nodes_(2 * leaves_) {
   RTS_EXPECTS(n >= 1);
-  nodes_.resize(4 * n);
-  build(1, 0, n_ - 1, base, step);
-}
-
-void RangeAddTree::build(std::size_t node, std::size_t lo, std::size_t hi,
-                         std::int64_t base, std::int64_t step) {
-  if (lo == hi) {
-    const std::int64_t v = base + step * static_cast<std::int64_t>(lo);
-    nodes_[node].max = nodes_[node].min = v;
-    return;
+  for (std::size_t i = 0; i < leaves_; ++i) {
+    Node& leaf = nodes_[leaves_ + i];
+    if (i < n) {
+      const std::int64_t v = base + step * static_cast<std::int64_t>(i);
+      leaf = Node{.max = v, .min = v, .add = 0};
+    } else {
+      leaf = Node{.max = -kPad, .min = kPad, .add = 0};
+    }
   }
-  const std::size_t mid = lo + (hi - lo) / 2;
-  build(2 * node, lo, mid, base, step);
-  build(2 * node + 1, mid + 1, hi, base, step);
-  nodes_[node].max = std::max(nodes_[2 * node].max, nodes_[2 * node + 1].max);
-  nodes_[node].min = std::min(nodes_[2 * node].min, nodes_[2 * node + 1].min);
-}
-
-void RangeAddTree::add(std::size_t lo, std::size_t hi, std::int64_t delta) {
-  RTS_EXPECTS(lo <= hi && hi < n_);
-  add(1, 0, n_ - 1, lo, hi, delta);
-}
-
-void RangeAddTree::add(std::size_t node, std::size_t node_lo,
-                       std::size_t node_hi, std::size_t lo, std::size_t hi,
-                       std::int64_t delta) {
-  if (hi < node_lo || node_hi < lo) return;
-  if (lo <= node_lo && node_hi <= hi) {
-    nodes_[node].pending += delta;
-    nodes_[node].max += delta;
-    nodes_[node].min += delta;
-    return;
+  for (std::size_t p = leaves_ - 1; p >= 1; --p) {
+    nodes_[p] = Node{.max = std::max(nodes_[2 * p].max, nodes_[2 * p + 1].max),
+                     .min = std::min(nodes_[2 * p].min, nodes_[2 * p + 1].min),
+                     .add = 0};
   }
-  const std::size_t mid = node_lo + (node_hi - node_lo) / 2;
-  add(2 * node, node_lo, mid, lo, hi, delta);
-  add(2 * node + 1, mid + 1, node_hi, lo, hi, delta);
-  nodes_[node].max =
-      nodes_[node].pending +
-      std::max(nodes_[2 * node].max, nodes_[2 * node + 1].max);
-  nodes_[node].min =
-      nodes_[node].pending +
-      std::min(nodes_[2 * node].min, nodes_[2 * node + 1].min);
 }
 
-std::int64_t RangeAddTree::range_max(std::size_t lo, std::size_t hi) const {
-  RTS_EXPECTS(lo <= hi && hi < n_);
-  return query_max(1, 0, n_ - 1, lo, hi, 0);
-}
-
-std::int64_t RangeAddTree::range_min(std::size_t lo, std::size_t hi) const {
-  RTS_EXPECTS(lo <= hi && hi < n_);
-  return query_min(1, 0, n_ - 1, lo, hi, 0);
-}
-
-std::int64_t RangeAddTree::query_max(std::size_t node, std::size_t node_lo,
-                                     std::size_t node_hi, std::size_t lo,
-                                     std::size_t hi, std::int64_t acc) const {
-  if (hi < node_lo || node_hi < lo) {
-    return std::numeric_limits<std::int64_t>::min();
+RangeAddTree::Split RangeAddTree::split(std::size_t t) const {
+  RTS_EXPECTS(t < n_);
+  std::size_t p = leaves_ + t;
+  std::int64_t hi = -kPad;
+  std::int64_t lo = nodes_[p].min;  // the leaf itself is in [0, t]
+  while (p > 1) {
+    // The sibling of a right child lies in [0, t]; of a left child, in (t, n).
+    const Node& sibling = nodes_[p ^ 1];
+    const bool right_child = (p & 1) != 0;
+    lo = right_child ? std::min(lo, sibling.min) : lo;
+    hi = right_child ? hi : std::max(hi, sibling.max);
+    p >>= 1;
+    hi += nodes_[p].add;
+    lo += nodes_[p].add;
   }
-  if (lo <= node_lo && node_hi <= hi) return acc + nodes_[node].max;
-  const std::size_t mid = node_lo + (node_hi - node_lo) / 2;
-  const std::int64_t with_pending = acc + nodes_[node].pending;
-  return std::max(
-      query_max(2 * node, node_lo, mid, lo, hi, with_pending),
-      query_max(2 * node + 1, mid + 1, node_hi, lo, hi, with_pending));
+  if (t + 1 == n_) hi = std::numeric_limits<std::int64_t>::min();
+  return Split{.suffix_max = hi, .prefix_min = lo};
 }
 
-std::int64_t RangeAddTree::query_min(std::size_t node, std::size_t node_lo,
-                                     std::size_t node_hi, std::size_t lo,
-                                     std::size_t hi, std::int64_t acc) const {
-  if (hi < node_lo || node_hi < lo) {
-    return std::numeric_limits<std::int64_t>::max();
+void RangeAddTree::add_suffix(std::size_t t, std::int64_t delta) {
+  RTS_EXPECTS(t < n_);
+  std::size_t p = leaves_ + t;
+  // The path's own values, carried up so each parent is recomputed from its
+  // two children without reloading the one just stored.
+  std::int64_t hi = nodes_[p].max;
+  std::int64_t lo = nodes_[p].min;
+  while (p > 1) {
+    // The right sibling of a left child lies wholly in (t, n).
+    Node& sibling = nodes_[p ^ 1];
+    const std::int64_t d = (p & 1) != 0 ? 0 : delta;
+    sibling.max += d;
+    sibling.min += d;
+    sibling.add += d;
+    p >>= 1;
+    Node& parent = nodes_[p];
+    hi = parent.add + std::max(hi, sibling.max);
+    lo = parent.add + std::min(lo, sibling.min);
+    parent.max = hi;
+    parent.min = lo;
   }
-  if (lo <= node_lo && node_hi <= hi) return acc + nodes_[node].min;
-  const std::size_t mid = node_lo + (node_hi - node_lo) / 2;
-  const std::int64_t with_pending = acc + nodes_[node].pending;
-  return std::min(
-      query_min(2 * node, node_lo, mid, lo, hi, with_pending),
-      query_min(2 * node + 1, mid + 1, node_hi, lo, hi, with_pending));
 }
 
 }  // namespace rtsmooth::offline

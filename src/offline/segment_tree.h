@@ -1,7 +1,13 @@
-// Range-add / range-min / range-max segment tree over int64, the workhorse
-// of the off-line unit-slice optimal (see unit_optimal.h): it maintains the
-// prefix-sum curve F of the accepted stream, where the insertion slack at
-// time t is B - (max F on [t+1, T] - min F on [0, t]).
+// Path-query segment tree over int64, the workhorse of the off-line
+// unit-slice optimal (see unit_optimal.h): it maintains the prefix-sum curve
+// G of the accepted stream, where the insertion slack at time t is
+// B - (max G on (t, n) - min G on [0, t]).
+//
+// The solver only ever asks three things at a run's arrival t: the max of
+// the suffix after t, the min of the prefix through t, and an add to the
+// suffix after t. All three are decided by the siblings along the
+// leaf-to-root path of t, so the tree is an iterative power-of-two heap with
+// two path operations, O(log n) each and with no recursion.
 
 #pragma once
 
@@ -14,37 +20,35 @@ class RangeAddTree {
  public:
   /// Tree over indices [0, n). All values start at `init(i)` = base + step*i
   /// (an affine ramp covers both the all-zero case and the -R*t drain curve
-  /// the solver starts from).
+  /// the solver starts from). Values must stay within 2^61 of zero.
   RangeAddTree(std::size_t n, std::int64_t base, std::int64_t step);
 
   std::size_t size() const { return n_; }
 
-  /// Adds `delta` to every index in [lo, hi] (inclusive).
-  void add(std::size_t lo, std::size_t hi, std::int64_t delta);
-
-  /// Max / min over [lo, hi] (inclusive).
-  std::int64_t range_max(std::size_t lo, std::size_t hi) const;
-  std::int64_t range_min(std::size_t lo, std::size_t hi) const;
-
- private:
-  struct Node {
-    std::int64_t max = 0;
-    std::int64_t min = 0;
-    std::int64_t pending = 0;  ///< add applying to the whole subtree
+  struct Split {
+    std::int64_t suffix_max;  ///< max over (t, n); INT64_MIN if t == n - 1
+    std::int64_t prefix_min;  ///< min over [0, t]
   };
 
-  void build(std::size_t node, std::size_t lo, std::size_t hi,
-             std::int64_t base, std::int64_t step);
-  void add(std::size_t node, std::size_t node_lo, std::size_t node_hi,
-           std::size_t lo, std::size_t hi, std::int64_t delta);
-  std::int64_t query_max(std::size_t node, std::size_t node_lo,
-                         std::size_t node_hi, std::size_t lo, std::size_t hi,
-                         std::int64_t acc) const;
-  std::int64_t query_min(std::size_t node, std::size_t node_lo,
-                         std::size_t node_hi, std::size_t lo, std::size_t hi,
-                         std::int64_t acc) const;
+  /// Both sides of index t, read in one leaf-to-root walk. Requires t < n.
+  Split split(std::size_t t) const;
+
+  /// Adds `delta` to every index in (t, n). Requires t < n.
+  void add_suffix(std::size_t t, std::int64_t delta);
+
+ private:
+  /// A node's max and min include its own pending `add` (which applies to
+  /// its whole subtree) but not its ancestors'.
+  struct Node {
+    std::int64_t max;
+    std::int64_t min;
+    std::int64_t add;
+  };
 
   std::size_t n_;
+  /// n rounded up to a power of two. Node 1 is the root, node p has
+  /// children 2p and 2p + 1, and index i is leaf node leaves_ + i.
+  std::size_t leaves_;
   std::vector<Node> nodes_;
 };
 

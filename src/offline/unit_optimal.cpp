@@ -1,7 +1,6 @@
 #include "offline/unit_optimal.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "offline/segment_tree.h"
 #include "util/assert.h"
@@ -23,33 +22,35 @@ OfflineResult unit_optimal(const Stream& stream, Bytes buffer, Bytes rate) {
   RangeAddTree g(n, /*base=*/0, /*step=*/-rate);
 
   // Greedy order: decreasing byte value; ties by arrival then index for
-  // determinism (any tie order yields the same optimal total).
-  std::vector<std::size_t> order(stream.run_count());
-  std::iota(order.begin(), order.end(), std::size_t{0});
+  // determinism (any tie order yields the same optimal total). Runs are
+  // sorted by arrival, so a stable sort on the value alone is that order.
+  struct Ranked {
+    double value;
+    std::size_t run;
+  };
   const auto runs = stream.runs();
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double va = runs[a].byte_value();
-    const double vb = runs[b].byte_value();
-    if (va != vb) return va > vb;
-    if (runs[a].arrival != runs[b].arrival) {
-      return runs[a].arrival < runs[b].arrival;
-    }
-    return a < b;
-  });
+  std::vector<Ranked> order;
+  order.reserve(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    order.push_back(Ranked{.value = runs[i].byte_value(), .run = i});
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Ranked& a, const Ranked& b) {
+                     return a.value > b.value;
+                   });
 
-  for (std::size_t idx : order) {
-    const SliceRun& run = runs[idx];
+  for (const Ranked& ranked : order) {
+    const SliceRun& run = runs[ranked.run];
     const auto t = static_cast<std::size_t>(run.arrival);
     // Constraint pairs (t1-1, t2) with t1 <= t <= t2 map to G indices
-    // v in [0, t] and u in [t+1, horizon].
-    const std::int64_t hi = g.range_max(t + 1, n - 1);
-    const std::int64_t lo = g.range_min(0, t);
-    const Bytes slack = buffer - (hi - lo);
+    // v in [0, t] and u in (t, horizon].
+    const RangeAddTree::Split around = g.split(t);
+    const Bytes slack = buffer - (around.suffix_max - around.prefix_min);
     const std::int64_t take =
         std::clamp<std::int64_t>(slack, 0, run.count);
     if (take == 0) continue;
-    g.add(t + 1, n - 1, take);
-    result.accepted_per_run[idx] = take;
+    g.add_suffix(t, take);
+    result.accepted_per_run[ranked.run] = take;
     result.benefit += run.weight * static_cast<Weight>(take);
     result.accepted_bytes += take;  // unit slices: bytes == slices
     result.accepted_slices += take;

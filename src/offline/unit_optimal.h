@@ -13,8 +13,11 @@
 // F(t) = sum_{i<=t} (a(i) - R) be the drain-adjusted prefix sum of accepted
 // bytes. The interval constraint "for all t1<=t2 containing t:
 // a[t1..t2] <= B + R*len" becomes F(t2) - F(t1-1) <= B, so the max insertable
-// at t is  B - (max_{u>=t} F(u) - min_{v<t} F(v)),  maintained with a
-// range-add/min/max segment tree in O(log T) per run: O(n log T) total.
+// at t is  B - (max_{u>=t} F(u) - min_{v<t} F(v)).  A segment tree over F
+// answers that and then adds the accepted bytes after t in two walks of
+// the leaf-to-root path of t (segment_tree.h), O(log T) per run. With the
+// one stable sort by byte value that fixes the greedy order, the solver is
+// O(n log n + n log T) in total.
 
 #pragma once
 

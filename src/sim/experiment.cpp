@@ -39,8 +39,9 @@ OptimalPoint offline_optimal(const Stream& stream, Bytes buffer, Bytes rate) {
   } else {
     // Long variable-size streams: the exact frontier explodes, so take the
     // midpoint of the provable quantized bracket (see pareto_dp.h) at a
-    // ~1/2048 resolution of the buffer.
-    const Bytes quantum = std::max<Bytes>(1, buffer / 2048);
+    // ~1/2048 resolution of the buffer, but never coarser than the rate, which
+    // would round the rate down to nothing.
+    const Bytes quantum = std::max<Bytes>(1, std::min(buffer / 2048, rate));
     const auto bracket =
         offline::quantized_optimal_bracket(stream, buffer, rate, quantum);
     benefit = (bracket.lower + bracket.upper) / 2.0;

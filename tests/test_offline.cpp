@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "analysis/competitive.h"
 #include "offline/brute_force.h"
 #include "offline/feasibility.h"
@@ -34,48 +36,69 @@ using testing::units;
 
 TEST(SegmentTree, AffineInitialization) {
   RangeAddTree t(6, 10, -3);  // 10, 7, 4, 1, -2, -5
-  EXPECT_EQ(t.range_max(0, 5), 10);
-  EXPECT_EQ(t.range_min(0, 5), -5);
-  EXPECT_EQ(t.range_max(2, 4), 4);
-  EXPECT_EQ(t.range_min(1, 3), 1);
+  EXPECT_EQ(t.split(0).suffix_max, 7);
+  EXPECT_EQ(t.split(0).prefix_min, 10);
+  EXPECT_EQ(t.split(2).suffix_max, 1);
+  EXPECT_EQ(t.split(2).prefix_min, 4);
+  EXPECT_EQ(t.split(4).suffix_max, -5);
+  EXPECT_EQ(t.split(4).prefix_min, -2);
+  // The last index has an empty suffix.
+  EXPECT_EQ(t.split(5).suffix_max, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(t.split(5).prefix_min, -5);
 }
 
 TEST(SegmentTree, RangeAddShiftsQueries) {
   RangeAddTree t(5, 0, 0);
-  t.add(1, 3, 7);
-  EXPECT_EQ(t.range_max(0, 4), 7);
-  EXPECT_EQ(t.range_min(0, 4), 0);
-  EXPECT_EQ(t.range_min(1, 3), 7);
-  t.add(0, 4, -2);
-  EXPECT_EQ(t.range_max(0, 0), -2);
-  EXPECT_EQ(t.range_max(0, 4), 5);
+  t.add_suffix(1, 7);  // 0, 0, 7, 7, 7
+  EXPECT_EQ(t.split(0).suffix_max, 7);
+  EXPECT_EQ(t.split(1).prefix_min, 0);
+  EXPECT_EQ(t.split(2).prefix_min, 0);
+  EXPECT_EQ(t.split(3).suffix_max, 7);
+  t.add_suffix(0, -2);  // 0, -2, 5, 5, 5
+  EXPECT_EQ(t.split(0).suffix_max, 5);
+  EXPECT_EQ(t.split(0).prefix_min, 0);
+  EXPECT_EQ(t.split(1).prefix_min, -2);
+  EXPECT_EQ(t.split(3).prefix_min, -2);
+  t.add_suffix(4, 100);  // the suffix after the last index is empty
+  EXPECT_EQ(t.split(3).suffix_max, 5);
+  EXPECT_EQ(t.split(4).prefix_min, -2);
 }
 
 TEST(SegmentTree, MatchesNaiveOnRandomOperations) {
   Rng rng(31);
-  const std::size_t n = 40;
-  RangeAddTree t(n, 3, 2);
-  std::vector<std::int64_t> naive(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    naive[i] = 3 + 2 * static_cast<std::int64_t>(i);
-  }
-  for (int op = 0; op < 500; ++op) {
-    auto lo = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-    auto hi = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-    if (lo > hi) std::swap(lo, hi);
-    if (rng.bernoulli(0.5)) {
-      const std::int64_t delta = rng.uniform_int(-20, 20);
-      t.add(lo, hi, delta);
-      for (std::size_t i = lo; i <= hi; ++i) naive[i] += delta;
-    } else {
-      std::int64_t mx = naive[lo];
-      std::int64_t mn = naive[lo];
-      for (std::size_t i = lo; i <= hi; ++i) {
-        mx = std::max(mx, naive[i]);
-        mn = std::min(mn, naive[i]);
+  // One leaf, two, a power of two (no padding), a power of two plus one
+  // (the last real leaf alone in its subtree), and a ragged size.
+  for (const std::size_t n : {1u, 2u, 16u, 17u, 40u}) {
+    RangeAddTree t(n, 3, 2);
+    std::vector<std::int64_t> naive(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      naive[i] = 3 + 2 * static_cast<std::int64_t>(i);
+    }
+    const auto check = [&](std::size_t at) {
+      std::int64_t mx = std::numeric_limits<std::int64_t>::min();
+      std::int64_t mn = naive[0];
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i <= at) mn = std::min(mn, naive[i]);
+        if (i > at) mx = std::max(mx, naive[i]);
       }
-      EXPECT_EQ(t.range_max(lo, hi), mx);
-      EXPECT_EQ(t.range_min(lo, hi), mn);
+      const RangeAddTree::Split got = t.split(at);
+      EXPECT_EQ(got.suffix_max, mx) << "n=" << n << " t=" << at;
+      EXPECT_EQ(got.prefix_min, mn) << "n=" << n << " t=" << at;
+    };
+    for (int op = 0; op < 500; ++op) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      if (rng.bernoulli(0.5)) {
+        const std::int64_t delta = rng.uniform_int(-20, 20);
+        t.add_suffix(at, delta);
+        for (std::size_t i = at + 1; i < n; ++i) naive[i] += delta;
+      } else {
+        check(at);
+      }
+      // The solver's edges: the first index and the last one with a
+      // non-empty suffix.
+      check(0);
+      if (n >= 2) check(n - 2);
     }
   }
 }
@@ -173,6 +196,55 @@ TEST(UnitOptimal, MatchesBruteForceOnRandomSmallInstances) {
     const Weight oracle = brute_force_optimal(s, buffer, rate);
     EXPECT_NEAR(fast.benefit, oracle, 1e-9) << "trial " << trial;
   }
+}
+
+TEST(UnitOptimal, SingleRunAtTimeZero) {
+  // B + R = 3 of the 5 slices fit through the first slot.
+  const Stream s = stream_of({units(0, 5, 2.0)});
+  const auto result = unit_optimal(s, /*buffer=*/2, /*rate=*/1);
+  EXPECT_DOUBLE_EQ(result.benefit, 6.0);
+  EXPECT_EQ(result.accepted_per_run[0], 3);
+}
+
+TEST(UnitOptimal, HorizonAtAndAroundPowersOfTwo) {
+  // The solver's tree has horizon + 1 leaves: a horizon of 2^k leaves the
+  // last arrival's successor alone in a padded subtree, and 2^k - 1 fills
+  // the leaves exactly. A burst on the last step exercises both edges.
+  Rng rng(12);
+  for (const Time horizon : {7, 8, 16}) {
+    std::vector<SliceRun> runs;
+    for (Time t = 0; t < horizon; ++t) {
+      runs.push_back(units(t, rng.uniform_int(1, 4),
+                           static_cast<Weight>(rng.uniform_int(1, 9))));
+    }
+    runs.push_back(units(horizon - 1, 6, 20.0));
+    const Stream s = stream_of(runs);
+    ASSERT_EQ(s.horizon(), horizon);
+    for (const Bytes buffer : {1, 3, 6}) {
+      const auto greedy = unit_optimal(s, buffer, 2);
+      const auto dp = pareto_dp_optimal(s, buffer, 2);
+      EXPECT_NEAR(greedy.benefit, dp.benefit, 1e-9)
+          << "horizon=" << horizon << " buffer=" << buffer;
+    }
+  }
+}
+
+TEST(UnitOptimal, LateFirstArrival) {
+  // Nothing arrives before t = 100: the idle prefix only drains.
+  const Stream s = stream_of({units(100, 4, 1.0), units(100, 3, 5.0),
+                              units(101, 4, 3.0), units(103, 2, 2.0)});
+  for (const Bytes buffer : {1, 2, 5}) {
+    const auto greedy = unit_optimal(s, buffer, 1);
+    const auto dp = pareto_dp_optimal(s, buffer, 1);
+    EXPECT_NEAR(greedy.benefit, dp.benefit, 1e-9) << "buffer=" << buffer;
+  }
+  // B = 2, R = 1: the three heavy slices of t = 100 fill slot 100 and the
+  // buffer; t = 101 gets one slot's worth, t = 103 both of its slices.
+  const auto result = unit_optimal(s, 2, 1);
+  EXPECT_EQ(result.accepted_per_run[0], 0);
+  EXPECT_EQ(result.accepted_per_run[1], 3);
+  EXPECT_EQ(result.accepted_per_run[2], 1);
+  EXPECT_EQ(result.accepted_per_run[3], 2);
 }
 
 TEST(UnitOptimal, EmptyStream) {

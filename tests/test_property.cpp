@@ -31,8 +31,12 @@
 #include "offline/unit_optimal.h"
 #include "policies/policy_factory.h"
 #include "random_instances.h"
+#include "reference_offline.h"
 #include "sim/simulator.h"
+#include "sim/sweep.h"
 #include "tandem/tandem.h"
+#include "trace/slicer.h"
+#include "trace/stock_clips.h"
 #include "util/rng.h"
 
 namespace rtsmooth {
@@ -475,6 +479,168 @@ TEST(PropertyFuzz, SolversMatchBruteForceOnSmallInstances) {
     if (!ok) {
       dump_reproducer("solver_mismatch", seed, stream,
                       offline_config(buffer, rate));
+      return;
+    }
+  }
+}
+
+/// A stream shaped for the exact solvers' fast paths: many distinct byte
+/// values, frequent ties and some zero weights (the greedy's order, equal
+/// weights at different occupancies in the DP), idle gaps, several runs per
+/// step and a late first arrival (the tree's leaves), and slices of 1 to
+/// `max_size` bytes (the DP's merge).
+Stream solver_stream(Rng& rng, Bytes max_size, std::int64_t max_steps,
+                     std::int64_t max_count) {
+  std::vector<SliceRun> runs;
+  Time arrival = rng.uniform_int(0, 40);
+  const std::int64_t steps = rng.uniform_int(1, max_steps);
+  for (std::int64_t step = 0; step < steps; ++step) {
+    const std::int64_t per_step = rng.uniform_int(1, 4);
+    for (std::int64_t k = 0; k < per_step; ++k) {
+      const Bytes size = rng.uniform_int(1, max_size);
+      Weight value = 0.0;  // free slices: keeping one adds only occupancy
+      if (rng.bernoulli(0.4)) {
+        value = static_cast<Weight>(rng.uniform_int(1, 3));
+      } else if (rng.bernoulli(0.85)) {
+        value = static_cast<Weight>(rng.uniform_int(1, 4000)) / 10.0;
+      }
+      runs.push_back(SliceRun{.arrival = arrival,
+                              .slice_size = size,
+                              .count = rng.uniform_int(1, max_count),
+                              .weight = value * static_cast<Weight>(size),
+                              .frame_index = step});
+    }
+    arrival += rng.uniform_int(1, 6);
+  }
+  return Stream::from_runs(std::move(runs));
+}
+
+bool same_result(const offline::OfflineResult& a,
+                 const offline::OfflineResult& b) {
+  return a.benefit == b.benefit && a.accepted_bytes == b.accepted_bytes &&
+         a.accepted_slices == b.accepted_slices &&
+         a.accepted_per_run == b.accepted_per_run;
+}
+
+bool same_result(const offline::ParetoDpResult& a,
+                 const offline::ParetoDpResult& b) {
+  return a.benefit == b.benefit && a.exact == b.exact &&
+         a.peak_states == b.peak_states;
+}
+
+bool same_result(const offline::OptimalBracket& a,
+                 const offline::OptimalBracket& b) {
+  return a.lower == b.lower && a.upper == b.upper && a.quantum == b.quantum;
+}
+
+/// Each solver against its straightforward predecessor
+/// (reference_offline.h): the greedy must return the same OfflineResult,
+/// the DP the same benefit bit for bit with the same `exact` and
+/// `peak_states`, and the bracket the same bounds.
+class OfflineReferenceCheck {
+ public:
+  explicit OfflineReferenceCheck(std::uint64_t seed) : seed_(seed) {}
+
+  bool unit(const Stream& stream, Bytes buffer, Bytes rate) {
+    return check("unit_optimal", stream, buffer, rate,
+                 same_result(offline::unit_optimal(stream, buffer, rate),
+                             refoffline::unit_optimal(stream, buffer, rate)));
+  }
+
+  bool dp(const Stream& stream, Bytes buffer, Bytes rate,
+          std::size_t state_limit) {
+    return check(
+        "pareto_dp_limit" + std::to_string(state_limit), stream, buffer, rate,
+        same_result(
+            offline::pareto_dp_optimal(stream, buffer, rate, state_limit),
+            refoffline::pareto_dp_optimal(stream, buffer, rate,
+                                          state_limit)));
+  }
+
+  bool bracket(const Stream& stream, Bytes buffer, Bytes rate,
+               Bytes quantum) {
+    return check("bracket_q" + std::to_string(quantum), stream, buffer, rate,
+                 same_result(offline::quantized_optimal_bracket(
+                                 stream, buffer, rate, quantum),
+                             refoffline::quantized_optimal_bracket(
+                                 stream, buffer, rate, quantum)));
+  }
+
+ private:
+  bool check(const std::string& solver, const Stream& stream, Bytes buffer,
+             Bytes rate, bool ok) const {
+    EXPECT_TRUE(ok) << solver << " differs from the reference: seed=" << seed_
+                    << " buffer=" << buffer << " rate=" << rate;
+    if (!ok) {
+      dump_reproducer("offline_reference_" + solver, seed_, stream,
+                      offline_config(buffer, rate));
+    }
+    return ok;
+  }
+
+  std::uint64_t seed_;
+};
+
+/// The exact solvers give their predecessors' answers bit for bit: on
+/// random instances every round, and once on clip-scale cnn-news inputs
+/// (byte-slice clips of 1000 frames, whole-frame clips, the quantized
+/// bracket and the state-limit fallback). Whole-frame DP clips stay at 40
+/// frames: the reference DP needs seconds at 100.
+TEST(PropertyFuzz, OfflineSolversMatchReference) {
+  const int rounds = prop_iters();
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t seed = 0x0ff1ce00 + static_cast<std::uint64_t>(round);
+    Rng rng(seed);
+    OfflineReferenceCheck check(seed);
+    const Stream units = solver_stream(rng, 1, 200, 30);
+    if (!check.unit(units, rng.uniform_int(1, 120), rng.uniform_int(1, 40))) {
+      return;
+    }
+    const Stream frames = solver_stream(rng, 24, 60, 3);
+    const Bytes buffer =
+        std::max<Bytes>(frames.max_slice_size(), rng.uniform_int(1, 400));
+    const Bytes rate = rng.uniform_int(1, 30);
+    const std::size_t limits[] = {2, 16, 256, std::size_t{1} << 20};
+    if (!check.dp(frames, buffer, rate, limits[rng.uniform_int(0, 3)])) {
+      return;
+    }
+    const Bytes quantum = rng.uniform_int(1, std::min(buffer, rate));
+    if (!check.bracket(frames, buffer, rate, quantum)) return;
+  }
+
+  OfflineReferenceCheck check(0);
+  const auto clip = [](trace::Slicing slicing, std::size_t frames) {
+    return trace::slice_frames(trace::stock_clip("cnn-news", frames),
+                               trace::ValueModel::mpeg_default(), slicing);
+  };
+  const Stream bytes = clip(trace::Slicing::ByteSlices, 1000);
+  for (const double fraction : {0.9, 1.1}) {
+    const Bytes rate = sim::relative_rate(bytes, fraction);
+    for (Bytes m = 1; m <= 26; ++m) {
+      if (!check.unit(bytes, m * bytes.max_frame_bytes(), rate)) return;
+    }
+  }
+  const Stream frames = clip(trace::Slicing::WholeFrame, 40);
+  const Stream long_frames = clip(trace::Slicing::WholeFrame, 300);
+  for (const double fraction : {0.9, 1.1}) {
+    const Bytes rate = sim::relative_rate(frames, fraction);
+    for (const Bytes m : {1, 2}) {
+      const Bytes buffer = m * frames.max_frame_bytes();
+      if (!check.dp(frames, buffer, rate, std::size_t{1} << 20)) return;
+      if (!check.bracket(frames, buffer, rate, 64)) return;
+    }
+    const Bytes long_rate = sim::relative_rate(long_frames, fraction);
+    for (const Bytes m : {1, 4, 16}) {
+      const Bytes buffer = m * long_frames.max_frame_bytes();
+      if (!check.bracket(long_frames, buffer, long_rate,
+                         std::max<Bytes>(256, buffer / 1024))) {
+        return;
+      }
+    }
+  }
+  for (const std::size_t limit : {2u, 16u, 256u}) {
+    if (!check.dp(frames, 2 * frames.max_frame_bytes(),
+                  sim::relative_rate(frames, 0.9), limit)) {
       return;
     }
   }

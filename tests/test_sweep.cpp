@@ -112,5 +112,25 @@ TEST(RateSweep, OptimalDominatesEveryPolicyEverywhere) {
   }
 }
 
+TEST(RateSweep, LowRateWholeFrameOptimumDoesNotAbort) {
+  // A 300-frame whole-frame clip has more than 256 slices, so the optimum
+  // is the quantized bracket; its quantum (buffer / 2048, about 120 B here)
+  // must not round a 38-B rate down to nothing.
+  const Stream s =
+      trace::slice_frames(trace::stock_clip("cnn-news", 300),
+                          trace::ValueModel::mpeg_default(),
+                          trace::Slicing::WholeFrame);
+  const auto points = sweep(s, SweepSpec{.axis = SweepAxis::RateFraction,
+                                         .values = {0.001},
+                                         .policies = {},
+                                         .with_optimal = true,
+                                         .buffer_multiple = 2.0})
+                          .points;
+  ASSERT_EQ(points.size(), 1u);
+  ASSERT_TRUE(points[0].has_optimal);
+  EXPECT_GE(points[0].optimal.weighted_loss, 0.0);
+  EXPECT_LE(points[0].optimal.weighted_loss, 1.0);
+}
+
 }  // namespace
 }  // namespace rtsmooth::sim
