@@ -2,11 +2,13 @@
 // contract (DESIGN.md): a default-constructed (null) Telemetry handle must
 // leave the simulator's end-to-end throughput unchanged — compare
 // BM_SimulateNoTelemetry against BM_SimulateNullHandle — while the enabled
-// path's absolute overhead is tracked by BM_SimulateTelemetryOn. The
-// micro-op benches bound the per-call cost of the individual instruments,
-// and the publish benches pin what one daemon publish costs with a full
-// timeline ring: BM_TimelineDump (the series, written once per publish)
-// and BM_JsonDump (a snapshot-sized tree).
+// path's absolute overhead is tracked by BM_SimulateTelemetryOn, and on a
+// sweep cell's cost mix by the BM_SimulateDenseCell pair (null handle
+// against a fresh registry per run). The micro-op benches bound the
+// per-call cost of the individual instruments, and the publish benches pin
+// what one daemon publish costs with a full timeline ring: BM_TimelineDump
+// (the series, written once per publish) and BM_JsonDump (a snapshot-sized
+// tree).
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +23,7 @@
 #include "obs/timeline.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "trace/mpeg_model.h"
 #include "trace/slicer.h"
 #include "trace/stock_clips.h"
 
@@ -82,6 +85,30 @@ void BM_SimulateTelemetryOn(benchmark::State& state) {
                           s.total_bytes());
 }
 BENCHMARK(BM_SimulateTelemetryOn);
+
+// One cell of a Fig. 3-style buffer sweep on a dense synthetic clip, as
+// perfbench's sweep_dense runs it: 2,000 MPEG-model frames in byte slices,
+// R = 0.9x average so the server sheds, B = 4x the largest frame. Arg 0 is
+// the null handle; arg 1 attaches a fresh registry per run, as sweep()
+// gives every cell one, so resolving the instruments counts too.
+void BM_SimulateDenseCell(benchmark::State& state) {
+  static const Stream s = trace::slice_frames(
+      trace::MpegTraceModel(trace::MpegModelConfig{}, 1).generate(2000),
+      trace::ValueModel::mpeg_default(), trace::Slicing::ByteSlices);
+  const sim::SimConfig base = sim::SimConfig::balanced(Planner::from_buffer_rate(
+      4 * s.max_frame_bytes(), sim::relative_rate(s, 0.9)));
+  const bool with_registry = state.range(0) != 0;
+  for (auto _ : state) {
+    obs::Registry registry;
+    sim::SimConfig config = base;
+    if (with_registry) config.telemetry.registry = &registry;
+    const SimReport report = sim::simulate(s, config, "tail-drop");
+    benchmark::DoNotOptimize(report.played.bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          s.total_bytes());
+}
+BENCHMARK(BM_SimulateDenseCell)->ArgName("registry")->Arg(0)->Arg(1);
 
 // A flight recorder rides the same Telemetry handle: every step lands in
 // its ring (obs/flight_recorder.h). Its absolute overhead is tracked here;

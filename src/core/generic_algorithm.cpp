@@ -46,9 +46,9 @@ void SmoothingServer::book_drop_log() {
 }
 
 void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
-  telemetry_ = telemetry;
-  if (telemetry.registry == nullptr) return;
-  obs::Registry& reg = *telemetry.registry;
+  registry_ = telemetry.registry;
+  if (registry_ == nullptr) return;
+  obs::Registry& reg = *registry_;
   // Eager creation keeps snapshots structurally identical across runs:
   // a lossless run reports server.retx_bytes = 0 rather than omitting it.
   sent_bytes_ = &reg.counter("server.sent_bytes");
@@ -59,6 +59,14 @@ void SmoothingServer::set_telemetry(obs::Telemetry telemetry) {
   occupancy_hist_ = &reg.histogram("server.occupancy",
                                    obs::HistogramSpec::exponential(1, 32));
   max_occupancy_ = &reg.gauge("server.max_occupancy");
+}
+
+obs::Histogram* SmoothingServer::count_shed() {
+  if (shed_events_ == nullptr) return nullptr;
+  shed_events_->add(1);
+  if (sheds_++ % kDropTimerPeriod != 0) return nullptr;
+  if (drop_timer_ == nullptr) drop_timer_ = &registry_->timer("policy.drop");
+  return drop_timer_;
 }
 
 void SmoothingServer::write_off(const SentPiece& piece) {
@@ -154,8 +162,7 @@ void SmoothingServer::finish_step(std::vector<SentPiece>& out) {
   // Eq. (3): shed whole slices until post-send occupancy is at most B.
   const Bytes target = config_.buffer + planned_send;
   if (buffer_.occupancy() > target) {
-    const obs::Span drop_span(telemetry_, "policy.drop");
-    if (shed_events_ != nullptr) shed_events_->add(1);
+    const obs::Span drop_span(count_shed());
     policy_->shed(buffer_, target);
     book_drops();
     RTS_ASSERT(buffer_.occupancy() <= target);

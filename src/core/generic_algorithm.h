@@ -123,11 +123,18 @@ class SmoothingServer {
   }
 
   /// Installs the telemetry handle (null by default: no cost). The server
-  /// records per-step occupancy, send/retransmit/write-off counters, and a
-  /// "policy.drop" Span around each Eq. (3) shed. Instruments are resolved
-  /// once here, so the per-step cost with telemetry on is plain pointer
-  /// arithmetic, not map lookups.
+  /// records per-step occupancy, send/retransmit/write-off counters, and
+  /// counts every Eq. (3) shed in "server.shed_events". Instruments are
+  /// resolved once here, so the per-step cost with telemetry on is plain
+  /// pointer arithmetic, not map lookups. The "policy.drop" timer is the
+  /// exception: it is resolved on the first shed (a run that never sheds
+  /// has none) and times one shed in kDropTimerPeriod, the first always,
+  /// so its count is the number of sampled sheds, not of sheds.
   void set_telemetry(obs::Telemetry telemetry);
+
+  /// Sampling period of the "policy.drop" timer: two clock reads cost more
+  /// than a typical shed.
+  static constexpr std::int64_t kDropTimerPeriod = 64;
 
  private:
   struct RetxEntry {
@@ -142,6 +149,10 @@ class SmoothingServer {
     if (!buffer_.drop_log().empty()) book_drop_log();
   }
   void book_drop_log();
+  /// Counts an Eq. (3) shed and returns the timer it records into: the
+  /// "policy.drop" timer on sampled sheds, null on the rest and while
+  /// telemetry is off.
+  obs::Histogram* count_shed();
   void write_off(const SentPiece& piece);
   void handle_nack(const Nack& nack, Time t);
   /// Sends due retransmissions (FIFO, whole pieces) within `budget` bytes;
@@ -155,7 +166,7 @@ class SmoothingServer {
   /// Ring sized from the retry budget at construction (DESIGN.md Sect. 12);
   /// grows only if a run exceeds the estimate, never in steady state.
   RingBuffer<RetxEntry> retx_queue_;
-  obs::Telemetry telemetry_;
+  obs::Registry* registry_ = nullptr;
   // Instruments resolved by set_telemetry(); null while telemetry is off.
   obs::Counter* sent_bytes_ = nullptr;
   obs::Counter* retx_bytes_ = nullptr;
@@ -164,6 +175,8 @@ class SmoothingServer {
   obs::Counter* written_off_bytes_ = nullptr;
   obs::Histogram* occupancy_hist_ = nullptr;
   obs::Gauge* max_occupancy_ = nullptr;
+  obs::Histogram* drop_timer_ = nullptr;  ///< resolved on the first shed
+  std::int64_t sheds_ = 0;  ///< Eq. (3) sheds counted, for the sampling
   Tally dropped_;
   // Bound by begin_step() for the duration of one step.
   SimReport* current_report_ = nullptr;

@@ -67,6 +67,9 @@ LiveEngine::LiveEngine(EngineConfig config, obs::Telemetry telemetry,
     retired_runs_ = &reg.counter("daemon.retired_runs");
     max_client_occupancy_ = &reg.gauge("client.max_occupancy");
     max_lateness_ = &reg.gauge("client.max_lateness_steps");
+    // Nothing late yet reads 0, as SimReport::max_lateness does, not the
+    // empty gauge's INT64_MIN: step() raises it only on a late byte.
+    max_lateness_->update(0);
     const obs::HistogramSpec steps_spec = obs::HistogramSpec::exponential(1, 16);
     hist_slack_ = &reg.histogram("client.slack_steps", steps_spec);
     hist_lateness_ = &reg.histogram("client.lateness_steps", steps_spec);

@@ -1,5 +1,6 @@
 #include "obs/telemetry.h"
 
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -36,9 +37,24 @@ HistogramSpec HistogramSpec::linear(std::int64_t width, std::size_t buckets) {
 
 Histogram::Histogram(HistogramSpec spec)
     : spec_(std::move(spec)), counts_(spec_.bounds.size() + 1, 0) {
-  RTS_EXPECTS(!spec_.bounds.empty());
-  for (std::size_t i = 1; i < spec_.bounds.size(); ++i) {
-    RTS_EXPECTS(spec_.bounds[i - 1] < spec_.bounds[i]);
+  const std::vector<std::int64_t>& bounds = spec_.bounds;
+  RTS_EXPECTS(!bounds.empty());
+  RTS_EXPECTS(counts_.size() < 255);
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    RTS_EXPECTS(bounds[i - 1] < bounds[i]);
+  }
+  // first_[k] = lower_bound(2^(k-1) + 1), or of 1 for k = 0. The keys grow
+  // with k, so one forward pass fills the table.
+  std::size_t bucket = 0;
+  for (std::size_t k = 0; k < first_.size(); ++k) {
+    const std::uint64_t smallest =
+        k == 0 ? 1 : (std::uint64_t{1} << (k - 1)) + 1;
+    while (bucket < bounds.size() &&
+           (bounds[bucket] < 0 ||
+            static_cast<std::uint64_t>(bounds[bucket]) < smallest)) {
+      ++bucket;
+    }
+    first_[k] = static_cast<std::uint8_t>(bucket);
   }
 }
 
@@ -48,10 +64,15 @@ void Histogram::record(std::int64_t value, std::int64_t weight) {
                                 std::to_string(weight));
   }
   if (weight == 0) return;
-  const auto it =
-      std::lower_bound(spec_.bounds.begin(), spec_.bounds.end(), value);
-  const auto bucket =
-      static_cast<std::size_t>(it - spec_.bounds.begin());  // last = overflow
+  // Start at the bucket of the smallest value of value's bit width, then
+  // scan forward to the first bound >= value (the last bucket is the
+  // overflow). For an exponential spec the start is already the answer.
+  const std::vector<std::int64_t>& bounds = spec_.bounds;
+  std::size_t bucket =
+      value > 0 ? first_[static_cast<std::size_t>(std::bit_width(
+                      static_cast<std::uint64_t>(value - 1)))]
+                : 0;
+  while (bucket < bounds.size() && bounds[bucket] < value) ++bucket;
   counts_[bucket] += weight;
   count_ += weight;
   sum_ += value * weight;
@@ -173,12 +194,11 @@ Json Registry::to_json(bool include_timers) const {
   return j;
 }
 
-Span::~Span() {
-  if (registry_ == nullptr) return;
+void Span::stop() {
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
-  registry_->timer(name_).record(us);
+  timer_->record(us);
 }
 
 }  // namespace rtsmooth::obs

@@ -17,6 +17,11 @@
 //   * Timers are quarantined. Span durations land in a separate timer
 //     section of the registry; `to_json(/*include_timers=*/false)` is the
 //     deterministic snapshot, timers are wall-clock noise by nature.
+//   * A record costs a pointer and a little arithmetic. Sites resolve
+//     their instruments once and keep the pointers; Histogram::record()
+//     finds its bucket with one table lookup by the value's bit width
+//     (exact on the first probe for the exponential specs every hot path
+//     uses), and a Span holds its timer pre-resolved.
 //
 // Metric names are dotted strings owned by the instrumentation sites
 // (e.g. "server.occupancy", "byte.sojourn_steps", "client.stall_run_length",
@@ -26,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <limits>
@@ -87,6 +93,8 @@ struct HistogramSpec {
 /// max sojourn <= ceil(B/R)) need no bucket interpolation.
 class Histogram {
  public:
+  /// Fewer than 255 buckets, overflow included, so a bucket index fits a
+  /// byte of the lookup table.
   explicit Histogram(HistogramSpec spec);
 
   /// Weight 0 is a no-op; a negative weight throws std::invalid_argument
@@ -115,6 +123,11 @@ class Histogram {
 
  private:
   HistogramSpec spec_;
+  /// first_[k] is the bucket of the smallest v >= 1 with
+  /// std::bit_width(v - 1) == k: the lower_bound of 2^(k-1) + 1 (of 1 for
+  /// k = 0), one entry per bit width of a uint64. record() scans forward
+  /// from there, which equals std::lower_bound for any increasing bounds.
+  std::array<std::uint8_t, 65> first_{};
   std::vector<std::int64_t> counts_;
   std::int64_t count_ = 0;
   std::int64_t sum_ = 0;
@@ -185,23 +198,30 @@ struct Telemetry {
 };
 
 /// RAII wall-clock timer: records the scope's duration (microseconds) into
-/// `telemetry.registry->timer(name)` on destruction. With a null registry
-/// the constructor takes no clock reading — a disabled Span is two pointer
-/// stores.
+/// a timer on destruction. A null timer disables the span: it takes no
+/// clock reading, and its destructor is one test. Hot sites resolve the
+/// timer once and pass it (or null, to skip a sample) per scope.
 class Span {
  public:
-  Span(const Telemetry& telemetry, std::string_view name)
-      : registry_(telemetry.registry), name_(name) {
-    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  explicit Span(Histogram* timer) : timer_(timer) {
+    if (timer_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
-  ~Span();
+  /// Resolves `telemetry.registry->timer(name)` once, here; a null
+  /// registry gives a disabled span.
+  Span(const Telemetry& telemetry, std::string_view name)
+      : Span(telemetry.registry != nullptr ? &telemetry.registry->timer(name)
+                                           : nullptr) {}
+  ~Span() {
+    if (timer_ != nullptr) stop();
+  }
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  Registry* registry_;
-  std::string_view name_;  ///< sites pass string literals; Span never outlives them
+  void stop();  ///< records the elapsed microseconds into timer_
+
+  Histogram* timer_;
   std::chrono::steady_clock::time_point start_;
 };
 

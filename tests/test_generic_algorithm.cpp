@@ -9,6 +9,7 @@
 
 #include "core/generic_algorithm.h"
 #include "core/pipeline.h"
+#include "obs/telemetry.h"
 #include "policies/policy_factory.h"
 #include "policies/proactive_threshold.h"
 #include "policies/tail_drop.h"
@@ -170,6 +171,50 @@ TEST(GenericAlgorithm, EarlyDropsAreAccountedToTheReport) {
   EXPECT_DOUBLE_EQ(rig.report().dropped_server.weight, 5.0);
   EXPECT_EQ(rec.run(0).dropped_server, 5);
   EXPECT_EQ(rec.run(1).dropped_server, 0);  // the dear slices survive
+}
+
+TEST(GenericAlgorithm, ShedTimerIsSampledAndChangesNoResult) {
+  // Three unit slices arrive per step into B = 1 at R = 1: every arrival
+  // step sheds (3 - 1 - 1 on the first, 1 + 3 - 1 - 1 after), so a stream
+  // of n runs sheds exactly n times. Every shed is counted; one in
+  // kDropTimerPeriod is timed, the first always.
+  constexpr std::int64_t period = SmoothingServer::kDropTimerPeriod;
+  for (const std::int64_t n : {std::int64_t{1}, period, period + 1,
+                               std::int64_t{130}, std::int64_t{200}}) {
+    std::vector<SliceRun> runs;
+    for (Time t = 0; t < n; ++t) runs.push_back(units(t, 3));
+    const Stream s = stream_of(std::move(runs));
+    const ServerConfig config{.buffer = 1, .rate = 1};
+    ServerRig plain(s, config, std::make_unique<TailDropPolicy>());
+    ServerRig timed(s, config, std::make_unique<TailDropPolicy>());
+    obs::Registry reg;
+    timed.pipe.server().set_telemetry(obs::Telemetry{.registry = &reg});
+    for (Time t = 0; t <= n + 2; ++t) {
+      run_step(plain, t);
+      run_step(timed, t);
+    }
+    EXPECT_EQ(timed.report(), plain.report()) << "n = " << n;
+    EXPECT_EQ(timed.report().dropped_server.bytes, 2 * n - 1);
+    EXPECT_EQ(reg.counter("server.shed_events").value(), n);
+    ASSERT_EQ(reg.timers().count("policy.drop"), 1u) << "n = " << n;
+    EXPECT_EQ(reg.timers().at("policy.drop").count(),
+              (n + period - 1) / period)
+        << "n = " << n;
+  }
+}
+
+TEST(GenericAlgorithm, RunWithoutShedsHasNoDropTimer) {
+  // The timer is resolved on the first shed, so a run that never sheds
+  // keeps the timer section without it (and the counter at 0).
+  const Stream s = stream_of({units(0, 4), units(3, 2)});
+  ServerRig rig(s, ServerConfig{.buffer = 10, .rate = 2},
+                std::make_unique<TailDropPolicy>());
+  obs::Registry reg;
+  rig.pipe.server().set_telemetry(obs::Telemetry{.registry = &reg});
+  for (Time t = 0; t < 8; ++t) run_step(rig, t);
+  EXPECT_EQ(rig.report().dropped_server.bytes, 0);
+  EXPECT_EQ(reg.counter("server.shed_events").value(), 0);
+  EXPECT_EQ(reg.timers().count("policy.drop"), 0u);
 }
 
 TEST(GenericAlgorithm, MovedServerBooksItsDrops) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -276,6 +277,70 @@ TEST(Histogram, BoundaryValuesLandInTheLowerBucket) {
   EXPECT_EQ(h.counts(), (std::vector<std::int64_t>{2, 1, 2, 1}));
   EXPECT_EQ(h.min(), -3);
   EXPECT_EQ(h.max(), 11);
+}
+
+TEST(Histogram, BucketLookupMatchesLowerBound) {
+  // record() starts at a table entry chosen by the value's bit width and
+  // scans forward; whatever the spec, the bucket must be the one
+  // std::lower_bound picks (the first bound >= value, else overflow).
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::vector<HistogramSpec> specs = {
+      // Every spec the library's instrumentation sites use.
+      HistogramSpec::exponential(1, 16), HistogramSpec::exponential(1, 20),
+      HistogramSpec::exponential(1, 24), HistogramSpec::exponential(1, 32),
+      HistogramSpec::exponential(64, 16),
+      // Linear layouts, up to the largest bucket count a table byte holds.
+      HistogramSpec::linear(1, 10), HistogramSpec::linear(7, 30),
+      HistogramSpec::linear(1000, 253),
+      // Arbitrary, zero, negative and extreme bounds.
+      HistogramSpec{.bounds = {1, 10, 100}},
+      HistogramSpec{.bounds = {0, 5, 10}}, HistogramSpec{.bounds = {4, 8}},
+      HistogramSpec{.bounds = {-100, -1, 0, 1}},
+      HistogramSpec{.bounds = {kMin + 1, 0, kMax}},
+      HistogramSpec{.bounds = {kMin + 1}}, HistogramSpec{.bounds = {kMax}},
+      HistogramSpec{.bounds = {-5, 3, std::int64_t{1} << 40, kMax - 1}}};
+
+  std::vector<std::int64_t> common = {kMin, kMin + 1, -1, 0, 1, kMax - 1,
+                                      kMax};
+  for (int k = 0; k < 63; ++k) {
+    const std::int64_t p = std::int64_t{1} << k;
+    for (const std::int64_t v : {p - 1, p, p + 1, -p}) common.push_back(v);
+  }
+  std::uint64_t state = 0x2545f4914f6cdd1dULL;  // fixed seed (splitmix64)
+  for (int i = 0; i < 2000; ++i) {
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    // Spread magnitudes: shift by a random amount, keep the sign bit's
+    // draw for half of them.
+    const std::uint64_t shifted = z >> (z % 64);
+    common.push_back(static_cast<std::int64_t>(i % 2 == 0 ? z : shifted));
+  }
+
+  for (const HistogramSpec& spec : specs) {
+    std::vector<std::int64_t> values = common;
+    for (const std::int64_t bound : spec.bounds) {
+      for (std::int64_t d = -2; d <= 2; ++d) {
+        if ((d < 0 && bound < kMin - d) || (d > 0 && bound > kMax - d)) {
+          continue;  // bound + d would overflow
+        }
+        values.push_back(bound + d);
+      }
+    }
+    for (const std::int64_t value : values) {
+      const std::size_t expected = static_cast<std::size_t>(
+          std::lower_bound(spec.bounds.begin(), spec.bounds.end(), value) -
+          spec.bounds.begin());
+      Histogram h(spec);  // fresh: one sample, so sum() cannot overflow
+      h.record(value);
+      ASSERT_EQ(h.counts()[expected], 1)
+          << "value " << value << " with " << spec.bounds.size()
+          << " bounds from " << spec.bounds.front();
+    }
+  }
 }
 
 TEST(Histogram, ZeroWeightIsANoOp) {

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -403,6 +404,66 @@ TEST(DaemonStats, ShutdownEndpointEqualsSnapshotFileByteForByte) {
       std::string::npos);
   EXPECT_NE(metrics.body.find("rtsmooth_daemon_snapshot_sighup 0"),
             std::string::npos);
+}
+
+TEST(DaemonStats, NoLateBytePublishesZeroLatenessAndNoEmptyGauge) {
+  // An empty high-watermark gauge holds INT64_MIN. A daemon run with no
+  // late byte must publish client.max_lateness_steps as 0, like the
+  // report's max_lateness, and no gauge anywhere may carry the sentinel:
+  // not in the registry, not in a series slot, not on /metrics.
+  constexpr std::int64_t kEmpty = std::numeric_limits<std::int64_t>::min();
+  const std::string sock = socket_path("stats_gauges.sock");
+  daemon::DaemonOptions opts = stats_daemon_options(sock);
+  opts.timeline.slot_steps = 32;
+  opts.timeline.budgets = daemon::default_slo_budgets();
+  daemon::Daemon d(opts, std::make_unique<daemon::GeneratorSource>(
+                             small_generator(300)));
+  EXPECT_EQ(d.serve(), 0);
+
+  const Exchange json = get(sock, "/json");
+  ASSERT_EQ(json.status, 200);
+  const obs::Json doc = obs::Json::parse(json.body);
+  EXPECT_EQ(doc.at("report").at("max_lateness").as_int(), 0);
+  const obs::Json& gauges = doc.at("registry").at("gauges");
+  EXPECT_EQ(gauges.at("client.max_lateness_steps").as_int(), 0);
+  for (std::size_t i = 0; i < gauges.keys().size(); ++i) {
+    EXPECT_NE(gauges.items()[i].as_int(), kEmpty) << gauges.keys()[i];
+  }
+
+  const Exchange series = get(sock, "/series");
+  ASSERT_EQ(series.status, 200);
+  const obs::Json series_doc = obs::Json::parse(series.body);
+  const obs::Json& columns = series_doc.at("gauges");
+  ASSERT_NE(columns.find("client.max_lateness_steps"), nullptr);
+  for (std::size_t i = 0; i < columns.keys().size(); ++i) {
+    ASSERT_GT(columns.items()[i].size(), 0u) << columns.keys()[i];
+    for (const obs::Json& slot : columns.items()[i].items()) {
+      EXPECT_NE(slot.as_int(), kEmpty) << columns.keys()[i];
+    }
+  }
+
+  const Exchange metrics = get(sock, "/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("rtsmooth_client_max_lateness_steps 0\n"),
+            std::string::npos);
+  std::istringstream lines(metrics.body);
+  std::string line;
+  std::string gauge;  // the metric a "# TYPE ... gauge" line announced
+  int gauge_lines = 0;
+  while (std::getline(lines, line)) {
+    const std::string type = "# TYPE ";
+    if (line.rfind(type, 0) == 0) {
+      const std::size_t space = line.find(' ', type.size());
+      gauge = line.substr(space + 1) == "gauge"
+                  ? line.substr(type.size(), space - type.size())
+                  : "";
+      continue;
+    }
+    if (gauge.empty() || line.rfind(gauge + " ", 0) != 0) continue;
+    ++gauge_lines;
+    EXPECT_NE(line.substr(gauge.size() + 1), std::to_string(kEmpty)) << line;
+  }
+  EXPECT_EQ(gauge_lines, static_cast<int>(gauges.keys().size()));
 }
 
 TEST(DaemonStats, SplicedSeriesSnapshotEqualsTreeFileAndSeriesByteForByte) {
