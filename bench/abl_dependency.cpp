@@ -74,7 +74,8 @@ int run(const bench::BenchOptions& opts) {
   sim::RunStats stats;
   bench::JsonReport json("abl_dependency", opts);
   obs::Registry reg;
-  bench::TaskTelemetry telemetry(json.enabled(), rels.size() * kVariantCount);
+  sim::CellTelemetry telemetry(json.enabled() ? &reg : nullptr, nullptr,
+                               rels.size() * kVariantCount);
   sim::ParallelRunner runner(opts.threads);
   const auto scores = runner.map<Scored>(
       rels.size() * kVariantCount,
@@ -86,7 +87,7 @@ int run(const bench::BenchOptions& opts) {
         return score(frames, *v.stream, plan, v.policy, telemetry.at(i));
       },
       &stats);
-  telemetry.merge_into(reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < scores.size(); ++i) {
     series.add({Table::num(rels[i / kVariantCount], 1),
                 variants[i % kVariantCount].label,

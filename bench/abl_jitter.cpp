@@ -44,7 +44,8 @@ int run(const bench::BenchOptions& opts) {
   sim::RunStats stats;
   bench::JsonReport json("abl_jitter", opts);
   obs::Registry reg;
-  bench::TaskTelemetry telemetry(json.enabled(), cells.size());
+  sim::CellTelemetry telemetry(json.enabled() ? &reg : nullptr, nullptr,
+                               cells.size());
   sim::ParallelRunner runner(opts.threads);
   const auto reports = runner.map<SimReport>(
       cells.size(),
@@ -60,7 +61,7 @@ int run(const bench::BenchOptions& opts) {
             std::make_unique<BoundedJitterLink>(p, cells[i].j, Rng(1234)));
       },
       &stats);
-  telemetry.merge_into(reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     series.add({std::to_string(cells[i].j), cells[i].compensated ? "yes" : "no",
                 std::to_string(reports[i].dropped_client_late.bytes),

@@ -55,7 +55,8 @@ int run(const bench::BenchOptions& opts) {
   sim::RunStats stats;
   bench::JsonReport json("abl_proactive", opts);
   obs::Registry reg;
-  bench::TaskTelemetry telemetry(json.enabled(), cells.size());
+  sim::CellTelemetry telemetry(json.enabled() ? &reg : nullptr, nullptr,
+                               cells.size());
   sim::ParallelRunner runner(opts.threads);
   const auto reports = runner.map<SimReport>(
       cells.size(),
@@ -76,7 +77,7 @@ int run(const bench::BenchOptions& opts) {
         return simulator.run();
       },
       &stats);
-  telemetry.merge_into(reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     series.add({Table::num(cells[i].rel, 1),
                 cells[i].base != nullptr ? cells[i].base : "proactive",

@@ -205,26 +205,4 @@ class JsonReport {
   obs::Json doc_ = obs::Json::object();
 };
 
-/// Per-task telemetry for benches that fan out with ParallelRunner::map
-/// directly (no SweepSpec): task `i` records into its private registry via
-/// `at(i)`, and `merge_into` folds them in index order afterwards, so the
-/// merged snapshot is identical for any thread count (DESIGN.md Sect. 9).
-class TaskTelemetry {
- public:
-  TaskTelemetry(bool enabled, std::size_t tasks)
-      : registries_(enabled ? tasks : 0) {}
-
-  obs::Telemetry at(std::size_t i) {
-    if (registries_.empty()) return {};
-    return obs::Telemetry{.registry = &registries_[i]};
-  }
-
-  void merge_into(obs::Registry& out) const {
-    for (const obs::Registry& reg : registries_) out.merge(reg);
-  }
-
- private:
-  std::vector<obs::Registry> registries_;
-};
-
 }  // namespace rtsmooth::bench

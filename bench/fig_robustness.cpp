@@ -17,7 +17,6 @@
 // Every cell of both halves is an independent simulation, so the whole
 // bench fans out over the ParallelRunner (--threads / RTSMOOTH_THREADS).
 
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <memory>
@@ -27,6 +26,7 @@
 
 #include "bench_common.h"
 #include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "sim/sweep.h"
 #include "trace/mpeg_model.h"
 
@@ -75,7 +75,7 @@ void ordering_section(const bench::BenchOptions& opts, std::size_t frames,
   }
 
   sim::ParallelRunner runner(opts.threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, cells.size());
+  sim::CellTelemetry telemetry(reg, nullptr, cells.size());
   const auto points = runner.map<sim::SweepPoint>(
       cells.size(),
       [&](std::size_t i) {
@@ -92,7 +92,7 @@ void ordering_section(const bench::BenchOptions& opts, std::size_t frames,
         return sim::sweep(s, spec).points.front();
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
 
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& point = points[i];
@@ -186,8 +186,9 @@ int run(const bench::BenchOptions& opts) {
       opts, s, plan, "i.i.d. erasure: weighted loss vs. loss probability",
       "p(loss)", 2, {0.0, 0.02, 0.05, 0.1, 0.2},
       [](double severity, Time link_delay) -> std::unique_ptr<Link> {
-        return std::make_unique<faults::ErasureLink>(
-            link_delay, severity,
+        return std::make_unique<faults::ScheduledFaultLink>(
+            link_delay,
+            std::vector<faults::FaultPhase>{{.loss_probability = severity}},
             Rng(900 + static_cast<std::uint64_t>(severity * 1000)));
       },
       ".erasure.csv", &stats, json_ptr, reg_ptr);
@@ -218,12 +219,14 @@ int run(const bench::BenchOptions& opts) {
       "throttling: weighted loss vs. outage fraction (2R when active)",
       "outage", 2, {0.0, 0.25, 0.5, 0.75},
       [rate](double severity, Time link_delay) -> std::unique_ptr<Link> {
-        constexpr std::size_t kPeriod = 48;
-        const auto zeros = static_cast<std::size_t>(severity * kPeriod + 0.5);
-        std::vector<Bytes> pattern(kPeriod, 2 * rate);
-        std::fill_n(pattern.begin(), zeros, Bytes{0});
-        return std::make_unique<faults::ThrottledLink>(
-            std::make_unique<FixedDelayLink>(link_delay), std::move(pattern));
+        constexpr Time kPeriod = 48;
+        const auto zeros = static_cast<Time>(severity * kPeriod + 0.5);
+        std::vector<faults::FaultPhase> program;
+        if (zeros > 0) program.push_back({.rate_cap = 0});
+        program.push_back({.from = zeros, .rate_cap = 2 * rate});
+        return std::make_unique<faults::ScheduledFaultLink>(
+            link_delay, std::move(program), Rng(), /*feedback_delay=*/-1,
+            kPeriod);
       },
       ".throttle.csv", &stats, json_ptr, reg_ptr);
 

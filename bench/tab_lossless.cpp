@@ -146,7 +146,7 @@ void part_d_lossy_vs_lossless(const Stream& stream,
                  "byteLoss"}};
   const std::vector<double> fracs = {1.0, 0.9, 0.8, 0.7, 0.6, 0.5};
   sim::ParallelRunner runner(threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, fracs.size());
+  sim::CellTelemetry telemetry(reg, nullptr, fracs.size());
   const auto reports = runner.map<SimReport>(
       fracs.size(),
       [&](std::size_t i) {
@@ -156,7 +156,7 @@ void part_d_lossy_vs_lossless(const Stream& stream,
                              "greedy", 1, telemetry.at(i));
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < fracs.size(); ++i) {
     const auto rate =
         std::max<Bytes>(1, static_cast<Bytes>(fracs[i] * lossless_rate));

@@ -47,7 +47,7 @@ void part_a_theorem35(const bench::BenchOptions& opts, std::size_t frames,
     Bytes played[3] = {0, 0, 0};
   };
   sim::ParallelRunner runner(opts.threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, cells.size());
+  sim::CellTelemetry telemetry(reg, nullptr, cells.size());
   const auto rows = runner.map<Row>(
       cells.size(),
       [&](std::size_t i) {
@@ -65,7 +65,7 @@ void part_a_theorem35(const bench::BenchOptions& opts, std::size_t frames,
         return row;
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < cells.size(); ++i) {
     for (std::size_t p = 0; p < 3; ++p) {
       series.add({Table::num(cells[i].rel, 1), Table::num(cells[i].mult, 0),
@@ -96,7 +96,7 @@ void part_b_delay_grid(std::size_t frames, unsigned threads,
   const std::vector<Time> delays = {ideal.delay / 4, ideal.delay / 2,
                                     ideal.delay, ideal.delay * 2};
   sim::ParallelRunner runner(threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, delays.size());
+  sim::CellTelemetry telemetry(reg, nullptr, delays.size());
   const auto reports = runner.map<SimReport>(
       delays.size(),
       [&](std::size_t i) {
@@ -110,7 +110,7 @@ void part_b_delay_grid(std::size_t frames, unsigned threads,
         return sim::simulate(s, config, "tail-drop");
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < delays.size(); ++i) {
     series.add({std::to_string(std::max<Time>(1, delays[i])),
                 std::to_string(reports[i].played.bytes),
@@ -141,7 +141,7 @@ void part_c_theorem39(std::size_t frames, unsigned threads,
     double optimal_upper = 0.0;
   };
   sim::ParallelRunner runner(threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, mults.size());
+  sim::CellTelemetry telemetry(reg, nullptr, mults.size());
   const auto rows = runner.map<Row>(
       mults.size(),
       [&](std::size_t i) {
@@ -162,7 +162,7 @@ void part_c_theorem39(std::size_t frames, unsigned threads,
             .optimal_upper = optimal.upper};
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
   for (std::size_t i = 0; i < mults.size(); ++i) {
     const double measured =
         static_cast<double>(rows[i].played) / rows[i].optimal_upper;
@@ -186,7 +186,7 @@ void part_d_lemma36(unsigned threads, sim::RunStats* stats,
   bench::Series series{.header = {"B1", "B2", "measuredRatio", "bound"}};
   const std::vector<Bytes> buffers = {8, 16, 32, 64, b2};
   sim::ParallelRunner runner(threads);
-  bench::TaskTelemetry telemetry(reg != nullptr, buffers.size());
+  sim::CellTelemetry telemetry(reg, nullptr, buffers.size());
   const auto throughputs = runner.map<Bytes>(
       buffers.size(),
       [&](std::size_t i) {
@@ -195,7 +195,7 @@ void part_d_lemma36(unsigned threads, sim::RunStats* stats,
             .played.bytes;
       },
       stats);
-  if (reg != nullptr) telemetry.merge_into(*reg);
+  telemetry.fold();
   const Bytes big_throughput = throughputs.back();
   for (std::size_t i = 0; i + 1 < buffers.size(); ++i) {
     series.add({std::to_string(buffers[i]), std::to_string(b2),

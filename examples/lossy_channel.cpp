@@ -2,7 +2,8 @@
 //
 // The paper's channel (Sect. 2) never loses a byte; Sect. 6 leaves faulty
 // links open. This example walks the fault subsystem end to end:
-//   1. wrap the constant-delay link in an ErasureLink (5% i.i.d. loss),
+//   1. wrap the constant-delay link in a one-phase fault program
+//      (ScheduledFaultLink, 5% i.i.d. loss),
 //   2. let the server's recovery path NACK and retransmit what can still
 //      make its playout deadline,
 //   3. compare the client's two degradation modes (skip vs. stall),
@@ -24,7 +25,7 @@
 #include <string>
 
 #include "core/planner.h"
-#include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/chrome_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace_writer.h"
@@ -78,8 +79,10 @@ int main(int argc, char** argv) {
     config.telemetry = telemetry;
     const SimReport report = sim::simulate(
         stream, config, "greedy",
-        std::make_unique<faults::ErasureLink>(config.link_delay, loss,
-                                              Rng(2026)));
+        std::make_unique<faults::ScheduledFaultLink>(
+            config.link_delay,
+            std::vector<faults::FaultPhase>{{.loss_probability = loss}},
+            Rng(2026)));
     std::cout << label << ":\n"
               << "  weighted loss   " << report.weighted_loss() * 100 << "%\n"
               << "  written off     "

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "util/assert.h"
@@ -32,6 +33,13 @@ ScheduledFaultLink::ScheduledFaultLink(std::unique_ptr<Link> inner,
   }
 }
 
+ScheduledFaultLink::ScheduledFaultLink(Time propagation_delay,
+                                       std::vector<FaultPhase> phases,
+                                       Rng rng, Time feedback_delay,
+                                       Time period)
+    : ScheduledFaultLink(std::make_unique<FixedDelayLink>(propagation_delay),
+                         std::move(phases), rng, feedback_delay, period) {}
+
 const FaultPhase& ScheduledFaultLink::phase_at(Time t) const {
   const Time tm = period_ > 0 ? t % period_ : t;
   // Schedules hold a handful of phases; a reverse linear scan beats keeping
@@ -44,27 +52,39 @@ const FaultPhase& ScheduledFaultLink::phase_at(Time t) const {
 
 void ScheduledFaultLink::set_telemetry(obs::Telemetry telemetry) {
   inner_->set_telemetry(telemetry);
-  if (telemetry.registry == nullptr) return;
-  obs::Registry& reg = *telemetry.registry;
-  erased_pieces_ = &reg.counter("link.erased_pieces");
-  erased_bytes_ = &reg.counter("link.erased_bytes");
-  split_pieces_ = &reg.counter("link.split_pieces");
-  max_backlog_ = &reg.gauge("link.max_backlog");
+  registry_ = telemetry.registry;
+  if (registry_ == nullptr) return;
+  erased_pieces_ = &registry_->counter("link.erased_pieces");
+  erased_bytes_ = &registry_->counter("link.erased_bytes");
+  split_pieces_ = &registry_->counter("link.split_pieces");
+  max_backlog_ = &registry_->gauge("link.max_backlog");
+}
+
+void ScheduledFaultLink::end_loss_run() {
+  if (loss_run_hist_ == nullptr) {
+    loss_run_hist_ = &registry_->histogram(
+        "link.loss_run", obs::HistogramSpec::exponential(1, 16));
+  }
+  loss_run_hist_->record(loss_run_);
+  loss_run_ = 0;
 }
 
 void ScheduledFaultLink::submit(Time t, std::vector<SentPiece> pieces) {
   const double loss = phase_at(t).loss_probability;
   for (SentPiece& piece : pieces) {
     if (loss > 0.0 && rng_.bernoulli(loss)) {
-      pending_nacks_.push_back(PendingNack{
-          .at = t + inner_->min_delay() + feedback_delay_,
-          .nack = Nack{.piece = piece, .sent_at = t}});
+      // The loss becomes knowable once the piece fails to arrive; feedback
+      // takes feedback_delay more steps to reach the server.
       if (erased_pieces_ != nullptr) {
         erased_pieces_->add(1);
         erased_bytes_->add(piece.bytes);
+        ++loss_run_;
       }
+      nacks_.push(t + inner_->min_delay() + feedback_delay_,
+                  Nack{.piece = std::move(piece), .sent_at = t});
       continue;
     }
+    if (loss_run_ > 0) end_loss_run();  // a surviving piece ends the run
     queued_ += piece.bytes;
     pending_.push_back(std::move(piece));
   }
@@ -85,8 +105,10 @@ std::vector<SentPiece> ScheduledFaultLink::deliver(Time t) {
       pending_.pop_front();
       continue;
     }
-    // Split at the cap; completions ride with the tail fragment (same
-    // rationale as ThrottledLink::deliver).
+    // Split the piece at the cap. Slice completions ride with the tail
+    // fragment: a slice finishes only when its last byte gets through, and
+    // without intra-piece offsets the tail is the only sound place to count
+    // them (the client ignores the field either way).
     SentPiece fragment = head;
     fragment.bytes = budget;
     fragment.completed_slices = 0;
@@ -100,18 +122,30 @@ std::vector<SentPiece> ScheduledFaultLink::deliver(Time t) {
   return inner_->deliver(t);
 }
 
-std::vector<Nack> ScheduledFaultLink::collect_nacks(Time t) {
-  // NACK feedback times are non-decreasing in submission order (constant
-  // feedback delay), so the front of the queue is always the earliest due.
-  std::vector<Nack> out;
-  while (!pending_nacks_.empty() && pending_nacks_.front().at <= t) {
-    out.push_back(std::move(pending_nacks_.front().nack));
-    pending_nacks_.pop_front();
-  }
-  return out;
+Time ScheduledFaultLink::next_activity(Time now) const {
+  const Time at = std::min(inner_->next_activity(now), nacks_.next_due());
+  return queued_ > 0 ? std::min(at, next_open_step(now)) : at;
 }
 
-std::vector<FaultPhase> parse_fault_schedule(std::string_view text) {
+Time ScheduledFaultLink::next_open_step(Time now) const {
+  if (phase_at(now).rate_cap != 0) return now;
+  // The cap changes only at phase starts, so the first later start whose
+  // cap is not 0 is the answer. Two laps cover a cyclic program: the rest
+  // of this one, then every phase of the next.
+  const Time lap = period_ > 0 ? now - now % period_ : 0;
+  for (const Time base : {lap, lap + period_}) {
+    for (const FaultPhase& phase : phases_) {
+      if (base + phase.from > now && phase.rate_cap != 0) {
+        return base + phase.from;
+      }
+    }
+    if (period_ == 0) break;
+  }
+  return now + 1;  // no phase ever opens: never claim silence
+}
+
+std::vector<FaultPhase> parse_fault_schedule(std::string_view text,
+                                             Time period) {
   const auto fail = [](std::string_view token, const char* why) {
     throw std::invalid_argument("fault schedule: " + std::string(why) +
                                 " in '" + std::string(token) + "'");
@@ -139,10 +173,14 @@ std::vector<FaultPhase> parse_fault_schedule(std::string_view text) {
         phase.from < 0) {
       fail(token, "bad phase start");
     }
+    if (period > 0 && phase.from >= period) {
+      fail(token, "phase starts at or after the period");
+    }
     auto r2 = std::from_chars(loss_s.data(), loss_s.data() + loss_s.size(),
                               phase.loss_probability);
+    // Written so that NaN, which compares false to everything, fails it.
     if (r2.ec != std::errc{} || r2.ptr != loss_s.data() + loss_s.size() ||
-        phase.loss_probability < 0.0 || phase.loss_probability > 1.0) {
+        !(phase.loss_probability >= 0.0 && phase.loss_probability <= 1.0)) {
       fail(token, "loss probability must be in [0, 1]");
     }
     auto r3 = std::from_chars(cap_s.data(), cap_s.data() + cap_s.size(),

@@ -6,33 +6,6 @@
 namespace rtsmooth::gateway {
 namespace {
 
-/// Per-cell registries, folded into the spec's registry in submission
-/// order after the batch — the CellTelemetry pattern of sim/sweep.cpp.
-class CellRegistries {
- public:
-  CellRegistries(const GatewaySweepSpec& spec, std::size_t cells)
-      : spec_(&spec) {
-    if (spec.registry != nullptr) registries_.resize(cells);
-  }
-
-  obs::Telemetry at(std::size_t k) {
-    obs::Telemetry telemetry;
-    if (!registries_.empty()) telemetry.registry = &registries_[k];
-    return telemetry;
-  }
-
-  void fold() {
-    if (spec_->registry == nullptr) return;
-    for (const obs::Registry& cell : registries_) {
-      spec_->registry->merge(cell);
-    }
-  }
-
- private:
-  const GatewaySweepSpec* spec_;
-  std::vector<obs::Registry> registries_;
-};
-
 GatewayReport run_cell(const GatewaySweepSpec& spec, std::size_t streams,
                        Bytes rate, SharePolicy policy,
                        obs::Telemetry telemetry) {
@@ -72,7 +45,7 @@ GatewaySweepResult sweep(const GatewaySweepSpec& spec) {
   result.points.resize(spec.stream_counts.size());
   const std::size_t cells =
       spec.stream_counts.size() * spec.policies.size();
-  CellRegistries registries(spec, cells);
+  sim::CellTelemetry telemetry(spec.registry, nullptr, cells);
 
   std::vector<std::function<void()>> tasks;
   tasks.reserve(cells);
@@ -88,8 +61,8 @@ GatewaySweepResult sweep(const GatewaySweepSpec& spec) {
       const std::size_t k = tasks.size();
       GatewayPolicyOutcome* outcome = &point->policies[q];
       outcome->policy = spec.policies[q];
-      tasks.push_back([&spec, &registries, point, outcome, k] {
-        const obs::Telemetry tel = registries.at(k);
+      tasks.push_back([&spec, &telemetry, point, outcome, k] {
+        const obs::Telemetry tel = telemetry.at(k);
         const obs::Span cell_span(tel, "gateway.sweep.cell");
         outcome->report = run_cell(spec, point->streams, point->rate,
                                    outcome->policy, tel);
@@ -99,7 +72,7 @@ GatewaySweepResult sweep(const GatewaySweepSpec& spec) {
 
   sim::ParallelRunner runner(spec.threads);
   result.stats = runner.run(std::move(tasks), spec.progress);
-  registries.fold();
+  telemetry.fold();
   return result;
 }
 

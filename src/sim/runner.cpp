@@ -8,6 +8,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 namespace rtsmooth::sim {
 namespace {
@@ -132,6 +133,36 @@ RunStats ParallelRunner::run(std::vector<std::function<void()>> tasks,
     if (error) std::rethrow_exception(error);
   }
   return stats;
+}
+
+CellTelemetry::CellTelemetry(obs::Registry* registry,
+                             obs::FlightRecorder* recorder, std::size_t cells)
+    : registry_(registry), recorder_(recorder) {
+  if (registry_ != nullptr) registries_.resize(cells);
+  if (recorder_ != nullptr) {
+    recorders_.reserve(cells);
+    for (std::size_t k = 0; k < cells; ++k) {
+      recorders_.emplace_back(recorder_->config());
+      recorders_.back().annotate("cell", static_cast<std::int64_t>(k));
+    }
+  }
+}
+
+obs::Telemetry CellTelemetry::at(std::size_t k) {
+  obs::Telemetry telemetry;
+  if (!registries_.empty()) telemetry.registry = &registries_[k];
+  if (!recorders_.empty()) telemetry.recorder = &recorders_[k];
+  return telemetry;
+}
+
+void CellTelemetry::annotate(std::size_t k, std::string_view key,
+                             obs::Json value) {
+  if (!recorders_.empty()) recorders_[k].annotate(key, std::move(value));
+}
+
+void CellTelemetry::fold() {
+  for (const obs::Registry& cell : registries_) registry_->merge(cell);
+  for (const obs::FlightRecorder& cell : recorders_) recorder_->merge(cell);
 }
 
 }  // namespace rtsmooth::sim

@@ -23,7 +23,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "obs/flight_recorder.h"
+#include "obs/json.h"
+#include "obs/telemetry.h"
 
 namespace rtsmooth::sim {
 
@@ -105,6 +110,34 @@ class ParallelRunner {
 
  private:
   unsigned threads_;
+};
+
+/// Per-cell telemetry isolation for a batch. Cells may run on any thread,
+/// so cell k records into a private registry and flight recorder through
+/// at(k); fold() merges them into the batch's registry and recorder in cell
+/// order afterwards, making the merged snapshot and incident list
+/// independent of the thread count (DESIGN.md Sect. 9).
+class CellTelemetry {
+ public:
+  /// Cells get a registry when `registry` is set, and a flight recorder
+  /// configured like `recorder` and tagged with its cell index when
+  /// `recorder` is; either may be null.
+  CellTelemetry(obs::Registry* registry, obs::FlightRecorder* recorder,
+                std::size_t cells);
+
+  /// Cell k's handle: empty when both targets are null.
+  obs::Telemetry at(std::size_t k);
+  /// Incident context tag for cell k; call before the batch runs. A no-op
+  /// without a recorder.
+  void annotate(std::size_t k, std::string_view key, obs::Json value);
+  /// Merges every cell into the targets, in cell order.
+  void fold();
+
+ private:
+  obs::Registry* registry_;
+  obs::FlightRecorder* recorder_;
+  std::vector<obs::Registry> registries_;
+  std::vector<obs::FlightRecorder> recorders_;
 };
 
 }  // namespace rtsmooth::sim

@@ -48,54 +48,6 @@ SimReport fault_run(const Stream& stream, const SweepSpec& spec,
   return simulator.run();
 }
 
-/// Per-cell telemetry isolation. Cells may run on any thread, so each gets
-/// a private registry and flight recorder (slot k for task k); fold()
-/// merges both in submission order afterwards, making the merged snapshot
-/// and incident list independent of the thread count (DESIGN.md Sect. 9).
-class CellTelemetry {
- public:
-  CellTelemetry(const SweepSpec& spec, std::size_t tasks) : spec_(&spec) {
-    if (spec.registry != nullptr) registries_.resize(tasks);
-    if (spec.recorder != nullptr) {
-      recorders_.reserve(tasks);
-      for (std::size_t i = 0; i < tasks; ++i) {
-        recorders_.emplace_back(spec.recorder->config());
-        recorders_.back().annotate("cell", static_cast<std::int64_t>(i));
-      }
-    }
-  }
-
-  /// Incident context tag for cell k; call before the batch runs.
-  void annotate(std::size_t k, std::string_view key, obs::Json value) {
-    if (!recorders_.empty()) recorders_[k].annotate(key, std::move(value));
-  }
-
-  obs::Telemetry at(std::size_t k) {
-    obs::Telemetry telemetry;
-    if (!registries_.empty()) telemetry.registry = &registries_[k];
-    if (!recorders_.empty()) telemetry.recorder = &recorders_[k];
-    return telemetry;
-  }
-
-  void fold() {
-    if (spec_->registry != nullptr) {
-      for (const obs::Registry& cell : registries_) {
-        spec_->registry->merge(cell);
-      }
-    }
-    if (spec_->recorder != nullptr) {
-      for (const obs::FlightRecorder& cell : recorders_) {
-        spec_->recorder->merge(cell);
-      }
-    }
-  }
-
- private:
-  const SweepSpec* spec_;
-  std::vector<obs::Registry> registries_;
-  std::vector<obs::FlightRecorder> recorders_;
-};
-
 SweepResult fault_axis_sweep(const Stream& stream, const SweepSpec& spec) {
   if (!spec.link_factory) {
     throw std::invalid_argument(
@@ -114,7 +66,7 @@ SweepResult fault_axis_sweep(const Stream& stream, const SweepSpec& spec) {
                       fixed_rate(stream, spec));
   SweepResult result;
   result.faults.resize(spec.values.size());
-  CellTelemetry cells(spec, 2 * spec.values.size());
+  CellTelemetry cells(spec.registry, spec.recorder, 2 * spec.values.size());
   std::vector<std::function<void()>> tasks;
   tasks.reserve(2 * spec.values.size());
   for (std::size_t i = 0; i < spec.values.size(); ++i) {
@@ -165,7 +117,8 @@ SweepResult sweep(const Stream& stream, const SweepSpec& spec) {
   result.points.resize(spec.values.size());
   const std::size_t per_point =
       spec.policies.size() + (spec.with_optimal ? 1 : 0);
-  CellTelemetry cells(spec, spec.values.size() * per_point);
+  CellTelemetry cells(spec.registry, spec.recorder,
+                      spec.values.size() * per_point);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(spec.values.size() * per_point);
   for (std::size_t i = 0; i < spec.values.size(); ++i) {

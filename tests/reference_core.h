@@ -13,7 +13,7 @@
 //      templates from policies/shed_algorithms.h, so a divergence can only
 //      come from the data structures under test.
 //   2. Reference links subclass the production `Link` interface, so the
-//      production fault decorators (ErasureLink, GilbertElliottLink, ...)
+//      production fault decorators (ScheduledFaultLink, GilbertElliottLink)
 //      wrap them unchanged and the lossy/recovery paths are compared too.
 //
 // The ReferenceSimulator emits the same JSONL events (config / violation /

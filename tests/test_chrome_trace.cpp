@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/chrome_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
@@ -257,8 +257,10 @@ TEST(ChromeTraceGolden, SimulatorTraceExportsAndRoundTrips) {
   config.telemetry = obs::Telemetry{.tracer = &tracer};
   sim::SmoothingSimulator simulator(
       s, config, make_policy("greedy"),
-      std::make_unique<faults::ErasureLink>(config.link_delay, 0.3,
-                                            Rng(2026)));
+      std::make_unique<faults::ScheduledFaultLink>(
+          config.link_delay,
+          std::vector<faults::FaultPhase>{{.loss_probability = 0.3}},
+          Rng(2026)));
   simulator.run();
 
   std::istringstream in(jsonl.str());

@@ -2,8 +2,9 @@
 // format, ingest stall/retry/timeout handling, the SLO watchdog and
 // degradation ladder, the Sect. 3.3 plan classifier, the fault schedule
 // parser, the engine's abort-to-residual path, and the Daemon's serving
-// loop end to end — clean completion,
-// overload escalation with valid incident documents, signal-driven
+// loop end to end — clean completion, a fault program's erasures, NACKs
+// and cap splits across reconfigurations, overload escalation with valid
+// incident documents, signal-driven
 // shutdown, and the snapshot's ledger tallies against the registry counters
 // that hold them. The drain-and-replan differential suite lives in
 // test_reconfig.cpp.
@@ -174,6 +175,12 @@ TEST(FaultSchedule, RejectsMalformedPrograms) {
   EXPECT_THROW(faults::parse_fault_schedule("5:0:-1,2:0:-1"),
                std::invalid_argument);
   EXPECT_THROW(faults::parse_fault_schedule("0:zero:-1"),
+               std::invalid_argument);
+  // NaN compares false to both range ends; a phase past the period would
+  // never be reached. Both used to abort in the link's constructor.
+  EXPECT_THROW(faults::parse_fault_schedule("0:nan:-1"),
+               std::invalid_argument);
+  EXPECT_THROW(faults::parse_fault_schedule("0:0:-1,200:0.1:-1", 100),
                std::invalid_argument);
 }
 
@@ -473,6 +480,48 @@ TEST(Daemon, OverloadEscalatesAndWritesValidIncidents) {
             daemon.incidents_written());
   EXPECT_GE(snap.at("degradation").at("rung").as_int(), 1);
   std::filesystem::remove_all(dir);
+}
+
+// The daemon builds a fresh link for every engine, and each engine's clock
+// starts at 0, so a fault program reads engine-local time. This program's
+// phases all lie inside one 500-step reconfiguration epoch, so its loss,
+// the recovery path's NACKs and its cap act whichever clock it reads.
+TEST(Daemon, FaultProgramInsideOneEpochErasesNacksAndSplits) {
+  GeneratorConfig gen;
+  gen.channels = 4;
+  gen.mean_frame_bytes = 64;
+  gen.max_frame_bytes = 256;
+  gen.min_frame_bytes = 16;
+  gen.seed = 3;
+  DaemonOptions opts = balanced_options(/*rate=*/256, /*delay=*/4);
+  opts.engine.recovery.enabled = true;
+  opts.max_steps = 3000;
+  const Time period = 300;
+  const std::vector<faults::FaultPhase> phases =
+      faults::parse_fault_schedule("0:0.2:-1,100:0:128,200:0:-1", period);
+  Daemon daemon(
+      opts, std::make_unique<GeneratorSource>(gen),
+      [&phases, period](const EngineConfig& cfg) -> std::unique_ptr<Link> {
+        return std::make_unique<faults::ScheduledFaultLink>(
+            cfg.link_delay, phases, Rng(17), /*feedback_delay=*/-1, period);
+      });
+  const Bytes buffer = opts.engine.server_buffer;
+  daemon.schedule_reconfig_cycle(
+      500, {{2 * buffer, 2 * buffer, 2 * opts.engine.rate, 4, 1, ""},
+            {buffer, buffer, opts.engine.rate, 4, 1, ""}});
+
+  EXPECT_EQ(daemon.serve(), 0);
+  EXPECT_GE(daemon.reconfigs_applied(), 4);
+  const obs::Json snap = daemon.snapshot();
+  const obs::Json& counters = snap.at("registry").at("counters");
+  EXPECT_GT(counters.at("link.erased_pieces").as_int(), 0);
+  EXPECT_GT(counters.at("server.nacks").as_int(), 0);
+  EXPECT_GT(counters.at("link.split_pieces").as_int(), 0);
+  EXPECT_GT(daemon.total_report().retransmitted_bytes, 0);
+  EXPECT_TRUE(daemon.total_report().conserves());
+  EXPECT_TRUE(daemon.ingest_ledger_conserves());
+  EXPECT_TRUE(snap.at("admission").at("ledger_conserves").as_bool());
+  EXPECT_TRUE(snap.at("report").at("conserves").as_bool());
 }
 
 TEST(Daemon, PipeStallTimeoutDeclaresSourceDead) {

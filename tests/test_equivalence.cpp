@@ -20,6 +20,7 @@
 
 #include "differential.h"
 #include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "policies/policy_factory.h"
 #include "random_instances.h"
 #include "reference_core.h"
@@ -102,15 +103,17 @@ TEST_P(EquivalencePolicy, RandomStreamsErasureWithRecovery) {
     expect_equivalent(
         stream, config, GetParam(), seed,
         [&config, loss, link_seed] {
-          return std::make_unique<faults::ErasureLink>(
-              std::make_unique<FixedDelayLink>(config.link_delay), loss,
+          return std::make_unique<faults::ScheduledFaultLink>(
+              std::make_unique<FixedDelayLink>(config.link_delay),
+              std::vector<faults::FaultPhase>{{.loss_probability = loss}},
               Rng(link_seed));
         },
         [&config, loss, link_seed] {
-          return std::make_unique<faults::ErasureLink>(
+          return std::make_unique<faults::ScheduledFaultLink>(
               std::make_unique<refcore::ReferenceFixedDelayLink>(
                   config.link_delay),
-              loss, Rng(link_seed));
+              std::vector<faults::FaultPhase>{{.loss_probability = loss}},
+              Rng(link_seed));
         });
     if (HasFailure()) return;
   }

@@ -8,9 +8,11 @@
 //     polls it less, and a 10^12-slot gap is absorbed, not walked.
 //   - Stepping-vs-skipping byte identity: full EngineArtifacts (SimReport,
 //     JSONL trace, registry snapshot, flight-recorder incidents) under
-//     ErasureLink, GilbertElliottLink, ThrottledLink and BoundedJitterLink
-//     across seeds, sparse and dense streams, recovery on and off; plus
-//     ScheduleRecorder step/run equality with the span back-fill.
+//     ScheduledFaultLink programs (a constant erasure, a periodic throttle
+//     and a cyclic program mixing loss, stalls and caps), GilbertElliottLink
+//     and BoundedJitterLink across seeds, sparse and dense streams, recovery
+//     on and off; plus ScheduleRecorder step/run equality with the span
+//     back-fill.
 //   - sweep() grids: results and merged registry snapshots byte-identical
 //     to stepping runs of the same cells at RTSMOOTH_THREADS widths 1, 4
 //     and 8 (mirroring the existing thread-invariance ctests).
@@ -26,6 +28,7 @@
 #include "core/schedule.h"
 #include "differential.h"
 #include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "policies/policy_factory.h"
@@ -72,18 +75,57 @@ TEST(NextActivity, FixedDelayLinkReportsHeadDeliveryStep) {
 }
 
 TEST(NextActivity, ThrottledLinkBacklogWaitsForOpenWindow) {
-  // cap_at: 0 at steps 0..2 (mod 4), 4 bytes at step 3 (mod 4).
-  faults::ThrottledLink link(std::make_unique<FixedDelayLink>(1),
-                             std::vector<Bytes>{0, 0, 0, 4});
+  // Cap 0 at steps 0..2 (mod 4), 4 bytes at step 3 (mod 4).
+  faults::ScheduledFaultLink link(std::make_unique<FixedDelayLink>(1),
+                                  {{.rate_cap = 0}, {.from = 3, .rate_cap = 4}},
+                                  Rng(), /*feedback_delay=*/-1, /*period=*/4);
   link.submit(0, one_piece(8));  // nothing admitted, 8 bytes queued
   EXPECT_EQ(link.next_activity(1), 3);  // the next positive-cap step
+}
+
+TEST(NextActivity, ScheduledLinkBacklogWaitsForTheNextOpenPhase) {
+  // Cyclic: 4 bytes at steps 0-1, a stall at steps 2-4, every 5 steps. A
+  // backlog queued in the stall waits for the next lap's first phase.
+  faults::ScheduledFaultLink cyclic(
+      std::make_unique<FixedDelayLink>(1),
+      {{.rate_cap = 4}, {.from = 2, .rate_cap = 0}}, Rng(),
+      /*feedback_delay=*/-1, /*period=*/5);
+  cyclic.submit(2, one_piece(8));
+  EXPECT_EQ(cyclic.next_activity(2), 5);
+  EXPECT_EQ(cyclic.next_activity(4), 5);
+  EXPECT_EQ(cyclic.next_activity(5), 5);
+  // One-shot: a stall until step 10, a 1-byte cap until 20, then uncapped.
+  faults::ScheduledFaultLink once(
+      std::make_unique<FixedDelayLink>(1),
+      {{.rate_cap = 0}, {.from = 10, .rate_cap = 1}, {.from = 20}}, Rng());
+  EXPECT_EQ(once.next_activity(3), kNever);  // nothing queued yet
+  once.submit(3, one_piece(8));
+  EXPECT_EQ(once.next_activity(3), 10);
+  EXPECT_EQ(once.next_activity(12), 12);  // the cap admits a byte a step
+}
+
+/// A program whose cap never opens again can hold bytes forever; the link
+/// must still never be reported silent while it does.
+TEST(NextActivity, ProgramThatNeverOpensIsNeverSilent) {
+  faults::ScheduledFaultLink stalls_after(
+      std::make_unique<FixedDelayLink>(1),
+      {{.rate_cap = 4}, {.from = 3, .rate_cap = 0}}, Rng());
+  stalls_after.submit(3, one_piece(8));
+  EXPECT_EQ(stalls_after.next_activity(3), 4);
+  EXPECT_EQ(stalls_after.next_activity(1000), 1001);
+  faults::ScheduledFaultLink always_stalled(
+      std::make_unique<FixedDelayLink>(1), {{.rate_cap = 0}}, Rng(),
+      /*feedback_delay=*/-1, /*period=*/2);
+  always_stalled.submit(0, one_piece(8));
+  EXPECT_EQ(always_stalled.next_activity(7), 8);
+  EXPECT_FALSE(always_stalled.idle());
 }
 
 TEST(NextActivity, ErasureLinkPendingNackBoundsTheSpan) {
   // loss 1.0: the piece never reaches the inner link; the NACK surfaces at
   // t + 2 * min_delay (symmetric feedback path).
-  faults::ErasureLink link(std::make_unique<FixedDelayLink>(2), 1.0,
-                           Rng(99));
+  faults::ScheduledFaultLink link(std::make_unique<FixedDelayLink>(2),
+                                  {{.loss_probability = 1.0}}, Rng(99));
   (void)link.deliver(0);
   link.submit(0, one_piece(4));
   EXPECT_EQ(link.next_activity(1), 4);
@@ -228,8 +270,10 @@ std::vector<LinkCase> fault_link_cases() {
   return {
       {"erasure",
        [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
-         return std::make_unique<faults::ErasureLink>(
-             std::make_unique<FixedDelayLink>(delay), 0.15, Rng(seed));
+         return std::make_unique<faults::ScheduledFaultLink>(
+             std::make_unique<FixedDelayLink>(delay),
+             std::vector<faults::FaultPhase>{{.loss_probability = 0.15}},
+             Rng(seed));
        }},
       {"gilbert-elliott",
        [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
@@ -242,10 +286,28 @@ std::vector<LinkCase> fault_link_cases() {
        }},
       {"throttled",
        [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
-         (void)seed;  // the throttle pattern is deterministic
-         return std::make_unique<faults::ThrottledLink>(
+         // The cap pattern {900, 0, 0, 300, 0, 1500}: one phase per run of
+         // equal entries, the pattern's length as the period.
+         return std::make_unique<faults::ScheduledFaultLink>(
              std::make_unique<FixedDelayLink>(delay),
-             std::vector<Bytes>{900, 0, 0, 300, 0, 1500});
+             std::vector<faults::FaultPhase>{{.rate_cap = 900},
+                                             {.from = 1, .rate_cap = 0},
+                                             {.from = 3, .rate_cap = 300},
+                                             {.from = 4, .rate_cap = 0},
+                                             {.from = 5, .rate_cap = 1500}},
+             Rng(seed), /*feedback_delay=*/-1, /*period=*/6);
+       }},
+      {"scheduled",
+       [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
+         // A cyclic program: loss alone, a full stall, then loss under a
+         // cap, so pieces erased, stalled and split all cross skipped spans.
+         return std::make_unique<faults::ScheduledFaultLink>(
+             std::make_unique<FixedDelayLink>(delay),
+             std::vector<faults::FaultPhase>{
+                 {.loss_probability = 0.2},
+                 {.from = 5, .rate_cap = 0},
+                 {.from = 9, .loss_probability = 0.05, .rate_cap = 400}},
+             Rng(seed), /*feedback_delay=*/-1, /*period=*/14);
        }},
       {"jitter",
        [](Time delay, std::uint64_t seed) -> std::unique_ptr<Link> {
@@ -385,8 +447,10 @@ TEST(EventEngineSweep, FaultAxisMatchesSlotCore) {
     spec.threads = threads;
     spec.link_factory = [stepping](double severity,
                                    Time delay) -> std::unique_ptr<Link> {
-      auto link = std::make_unique<faults::ErasureLink>(
-          std::make_unique<FixedDelayLink>(delay), severity, Rng(7));
+      auto link = std::make_unique<faults::ScheduledFaultLink>(
+          std::make_unique<FixedDelayLink>(delay),
+          std::vector<faults::FaultPhase>{{.loss_probability = severity}},
+          Rng(7));
       if (!stepping) return link;
       return std::make_unique<difftest::SteppingLink>(std::move(link));
     };

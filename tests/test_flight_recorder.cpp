@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/flight_recorder.h"
 #include "policies/policy_factory.h"
 #include "sim/simulator.h"
@@ -24,7 +24,8 @@
 namespace rtsmooth {
 namespace {
 
-using faults::ErasureLink;
+using faults::FaultPhase;
+using faults::ScheduledFaultLink;
 using obs::FlightRecorder;
 using obs::FlightRecorderConfig;
 using obs::Json;
@@ -223,7 +224,9 @@ TEST(FlightRecorderEndToEnd, ErasureUnderflowFreezesTheTrailingWindow) {
   config.telemetry = obs::Telemetry{.recorder = &recorder};
   sim::SmoothingSimulator simulator(
       s, config, make_policy("greedy"),
-      std::make_unique<ErasureLink>(config.link_delay, 0.3, Rng(2026)));
+      std::make_unique<ScheduledFaultLink>(
+          config.link_delay, std::vector<FaultPhase>{{.loss_probability = 0.3}},
+          Rng(2026)));
   const SimReport report = simulator.run();
 
   ASSERT_GT(report.invariants.client_underflow, 0);
@@ -265,7 +268,9 @@ TEST(FlightRecorderEndToEnd, RecorderDoesNotChangeTheRun) {
     config.telemetry = telemetry;
     sim::SmoothingSimulator simulator(
         s, config, make_policy("greedy"),
-        std::make_unique<ErasureLink>(config.link_delay, 0.2, Rng(7)));
+        std::make_unique<ScheduledFaultLink>(
+            config.link_delay,
+            std::vector<FaultPhase>{{.loss_probability = 0.2}}, Rng(7)));
     return simulator.run();
   };
   FlightRecorder recorder;
@@ -292,7 +297,10 @@ TEST(FlightRecorderSweep, MergedIncidentsAreThreadCountInvariant) {
         .plan = plan,
         .link_factory = [](double severity,
                            Time link_delay) -> std::unique_ptr<Link> {
-          return std::make_unique<ErasureLink>(link_delay, severity, Rng(41));
+          return std::make_unique<ScheduledFaultLink>(
+              link_delay,
+              std::vector<FaultPhase>{{.loss_probability = severity}},
+              Rng(41));
         }};
     spec.threads = threads;
     spec.recorder = &recorder;

@@ -10,7 +10,7 @@
 
 #include "core/metrics.h"
 #include "core/planner.h"
-#include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
 #include "trace/slicer.h"
@@ -116,7 +116,9 @@ SimReport faulty_report(double erasure, bool recovery) {
   if (recovery) config.recovery = RecoveryConfig{.enabled = true};
   return sim::simulate(
       s, config, "greedy",
-      std::make_unique<faults::ErasureLink>(1, erasure, Rng(77)));
+      std::make_unique<faults::ScheduledFaultLink>(
+          1, std::vector<faults::FaultPhase>{{.loss_probability = erasure}},
+          Rng(77)));
 }
 
 TEST(SimReport, ConservesAcrossFaultyLinkRuns) {

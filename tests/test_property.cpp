@@ -25,6 +25,7 @@
 #include "daemon/live_engine.h"
 #include "differential.h"
 #include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/flight_recorder.h"
 #include "offline/brute_force.h"
 #include "offline/pareto_dp.h"
@@ -668,7 +669,9 @@ std::unique_ptr<Link> make_fuzz_link(FuzzLink kind, Time delay, double loss,
     case FuzzLink::Fixed:
       return std::make_unique<FixedDelayLink>(delay);
     case FuzzLink::Erasure:
-      return std::make_unique<faults::ErasureLink>(delay, loss, Rng(seed));
+      return std::make_unique<faults::ScheduledFaultLink>(
+          delay, std::vector<faults::FaultPhase>{{.loss_probability = loss}},
+          Rng(seed));
     case FuzzLink::GilbertElliott:
       return std::make_unique<faults::GilbertElliottLink>(
           delay,

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "faults/fault_links.h"
+#include "faults/fault_schedule.h"
 #include "obs/telemetry.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
@@ -32,8 +32,10 @@ Stream clip(std::size_t frames) {
 
 FaultLinkFactory erasure_factory() {
   return [](double severity, Time link_delay) -> std::unique_ptr<Link> {
-    return std::make_unique<faults::ErasureLink>(link_delay, severity,
-                                                 Rng(41));
+    return std::make_unique<faults::ScheduledFaultLink>(
+        link_delay,
+        std::vector<faults::FaultPhase>{{.loss_probability = severity}},
+        Rng(41));
   };
 }
 

@@ -1,9 +1,12 @@
 # CTest driver for the daemon result baseline (see tools/CMakeLists): rerun
 # the overloaded 6-channel soak and require its rtsmooth-soak-v1 snapshot to
 # equal bench/baselines/SOAK_overload.json byte for byte. The run covers
-# reconfiguration drains, a cycling fault program, every degradation rung
-# including the value floor, and eight watchdog incidents; the snapshot
-# holds no wall-clock field, so any difference is a behaviour change.
+# reconfiguration drains, every degradation rung including the value floor,
+# and eight watchdog incidents; the snapshot holds no wall-clock field, so
+# any difference is a behaviour change. It passes a cycling fault program,
+# but the program reads engine-local time, which every 500-step
+# reconfiguration restarts, so its impaired phases (from step 2000) never
+# act: the run erases, NACKs and caps nothing.
 #
 # With -DUPDATE=ON the snapshot is written to BASELINE instead of compared
 # (tools/regen_bench_baselines.sh does this).

@@ -264,7 +264,7 @@ rts::daemon::DaemonOptions daemon_options(const DriverOptions& opt) {
 rts::daemon::Daemon::LinkFactory make_link_factory(const DriverOptions& opt) {
   if (opt.fault_schedule.empty()) return {};
   const std::vector<rts::faults::FaultPhase> phases =
-      rts::faults::parse_fault_schedule(opt.fault_schedule);
+      rts::faults::parse_fault_schedule(opt.fault_schedule, opt.fault_period);
   const std::uint64_t seed = opt.seed;
   const Time period = opt.fault_period;
   return [phases, seed, period](const rts::daemon::EngineConfig& cfg)
