@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -99,6 +100,11 @@ class ServerBuffer {
     return chunks_[i];
   }
 
+  /// The lowest byte value push() has ever stored, +inf before the first
+  /// push: a lower bound on every resident chunk's byte value, at which
+  /// Greedy's victim scan may stop (policies/shed_algorithms.h).
+  double min_value() const { return min_value_; }
+
   /// Number of slices of chunk i that may legally be dropped: all of them,
   /// except a head slice that has started transmission.
   std::int64_t droppable_slices(std::size_t i) const {
@@ -120,6 +126,7 @@ class ServerBuffer {
     }
     chunks_.push_back(Chunk{.run = &run, .run_index = run_index,
                             .slices = count, .head_sent = 0});
+    min_value_ = std::min(min_value_, run.byte_value());
   }
 
   /// Drops `k` slices from chunk i and appends the victim to the drop log.
@@ -201,6 +208,7 @@ class ServerBuffer {
   /// object. See DESIGN.md Sect. 12 for the layout and capacity formula.
   RingBuffer<Chunk> chunks_;
   Bytes occupancy_ = 0;
+  double min_value_ = std::numeric_limits<double>::infinity();
   std::vector<DroppedSlices> drop_log_;
 };
 

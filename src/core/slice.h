@@ -32,9 +32,14 @@ struct SliceRun {
   Bytes total_bytes() const { return slice_size * count; }
   Weight total_weight() const { return weight * static_cast<Weight>(count); }
 
-  /// The greedy policy's ranking key (paper Sect. 4.1): w(s) / |s|.
+  /// The greedy policy's ranking key (paper Sect. 4.1): w(s) / |s|. A unit
+  /// slice's is its weight, read without a division: byte slices are the
+  /// figures' shape, and ServerBuffer::push and Greedy's victim scan read
+  /// the key per chunk.
   double byte_value() const {
-    return static_cast<double>(weight) / static_cast<double>(slice_size);
+    return slice_size == 1
+               ? weight
+               : static_cast<double>(weight) / static_cast<double>(slice_size);
   }
 
   bool operator==(const SliceRun&) const = default;

@@ -43,8 +43,8 @@ void GilbertElliottLink::set_telemetry(obs::Telemetry telemetry) {
   obs::Registry& reg = *telemetry.registry;
   erased_pieces_ = &reg.counter("link.erased_pieces");
   erased_bytes_ = &reg.counter("link.erased_bytes");
-  loss_run_hist_ = &reg.histogram("link.loss_run",
-                                  obs::HistogramSpec::exponential(1, 16));
+  bad_burst_hist_ = &reg.histogram("link.bad_burst_steps",
+                                   obs::HistogramSpec::exponential(1, 16));
 }
 
 void GilbertElliottLink::ensure_state(Time t) {
@@ -57,12 +57,13 @@ void GilbertElliottLink::ensure_state(Time t) {
         bad_ ? config_.p_bad_to_good : config_.p_good_to_bad;
     if (flip > 0.0 && rng_.bernoulli(flip)) {
       bad_ = !bad_;
-      if (loss_run_hist_ != nullptr) {
+      if (bad_burst_hist_ != nullptr) {
         if (bad_) {
           bad_since_ = state_time_;
         } else if (bad_since_ >= 0) {
-          // Burst over: its length in steps is the "link.loss_run" sample.
-          loss_run_hist_->record(state_time_ - bad_since_);
+          // Burst over: its length in steps is the "link.bad_burst_steps"
+          // sample.
+          bad_burst_hist_->record(state_time_ - bad_since_);
           bad_since_ = -1;
         }
       }

@@ -101,7 +101,7 @@ class GilbertElliottLink final : public Link {
     inner_->advance_to(t);
   }
   /// Counts erased pieces/bytes and each completed Bad-state burst length in
-  /// steps ("link.loss_run"). Forwards to the inner link.
+  /// steps ("link.bad_burst_steps"). Forwards to the inner link.
   void set_telemetry(obs::Telemetry telemetry) override;
 
   bool in_bad_state() const { return bad_; }
@@ -118,7 +118,7 @@ class GilbertElliottLink final : public Link {
   NackQueue nacks_;
   obs::Counter* erased_pieces_ = nullptr;
   obs::Counter* erased_bytes_ = nullptr;
-  obs::Histogram* loss_run_hist_ = nullptr;
+  obs::Histogram* bad_burst_hist_ = nullptr;
   Time bad_since_ = -1;  ///< step the current Bad burst began
 };
 

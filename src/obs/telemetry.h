@@ -25,8 +25,9 @@
 //
 // Metric names are dotted strings owned by the instrumentation sites
 // (e.g. "server.occupancy", "byte.sojourn_steps", "client.stall_run_length",
-// "drop.burst_length", "link.loss_run"); the registry orders them
-// lexicographically in snapshots.
+// "drop.burst_length", "link.loss_run" in erased pieces,
+// "link.bad_burst_steps" in steps); one name holds one unit, and the
+// registry orders them lexicographically in snapshots.
 
 #pragma once
 

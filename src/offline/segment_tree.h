@@ -1,4 +1,4 @@
-// Path-query segment tree over int64, the workhorse of the off-line
+// Path-query segment tree over int64, the many-valued path of the off-line
 // unit-slice optimal (see unit_optimal.h): it maintains the prefix-sum curve
 // G of the accepted stream, where the insertion slack at time t is
 // B - (max G on (t, n) - min G on [0, t]).

@@ -11,13 +11,31 @@
 //
 // The slack computation avoids quantifying over intervals: let
 // F(t) = sum_{i<=t} (a(i) - R) be the drain-adjusted prefix sum of accepted
-// bytes. The interval constraint "for all t1<=t2 containing t:
-// a[t1..t2] <= B + R*len" becomes F(t2) - F(t1-1) <= B, so the max insertable
-// at t is  B - (max_{u>=t} F(u) - min_{v<t} F(v)).  A segment tree over F
-// answers that and then adds the accepted bytes after t in two walks of
-// the leaf-to-root path of t (segment_tree.h), O(log T) per run. With the
-// one stable sort by byte value that fixes the greedy order, the solver is
-// O(n log n + n log T) in total.
+// bytes, and G(j) = F(j-1) with G(0) = 0 the curve both paths keep, which
+// starts as G(j) = -R*j. The interval constraint "for all t1<=t2 containing
+// t: a[t1..t2] <= B + R*len" becomes F(t2) - F(t1-1) <= B, so the max
+// insertable at t is  B - (max_{u>t} G(u) - min_{v<=t} G(v)),  and
+// accepting k bytes at t adds k to G on (t, T]. The greedy order is
+// decreasing byte value, then arrival, then index. Two paths compute it,
+// with the same answer bit for bit; the input alone picks one:
+//
+//  * Many byte values: one stable sort by value fixes the order, and a
+//    segment tree over G answers the slack and then adds the accepted bytes
+//    in two walks of the leaf-to-root path of t (segment_tree.h), O(log T)
+//    per run: O(n log n + n log T) in total.
+//  * Few byte values (the frame-type value models give three or four): the
+//    runs of one value class are taken in arrival order, so when the class's
+//    run at t comes up, every run it accepted so far (`acc` bytes in all)
+//    arrived at or before t. Hence
+//      - max G over (t, T] is the class-start suffix max plus acc, and
+//      - min G over [0, t] is a running min of G(p) plus what the class
+//        accepted before p, folded forward up to t.
+//    One backward pass (suffix maxima) and one forward pass (the fold) per
+//    class, over G held flat, replace the tree: O(k T + n log k) for k
+//    classes, grouped by a counting sort.
+//
+// class_pass_limit() is the choice: k passes over the T + 1 cells of G
+// against n tree walks of bit_width(T + 1) levels.
 
 #pragma once
 
@@ -41,5 +59,11 @@ struct OfflineResult {
 /// link rate `rate`. Requires stream.unit_slices() (Lmax == 1) — for
 /// variable sizes use pareto_dp_optimal, which is exact for any sizes.
 OfflineResult unit_optimal(const Stream& stream, Bytes buffer, Bytes rate);
+
+/// The most distinct byte values for which unit_optimal takes one pass per
+/// value class: `runs` * bit_width(horizon + 1) / (horizon + 1) + 1. A
+/// stream of `runs` runs arriving in [0, horizon) with more values walks the
+/// tree.
+std::size_t class_pass_limit(std::size_t runs, Time horizon);
 
 }  // namespace rtsmooth::offline

@@ -5,12 +5,8 @@
 
 namespace rtsmooth {
 
-DropResult greedy_shed(ServerBuffer& buf, Bytes target, double max_value) {
-  return shed::greedy_shed(buf, target, max_value);
-}
-
 DropResult GreedyDropPolicy::shed(ServerBuffer& buf, Bytes target) {
-  const DropResult freed = greedy_shed(buf, target);
+  const DropResult freed = shed::greedy_shed(buf, target);
   RTS_ENSURES(buf.occupancy() <= target);
   return freed;
 }

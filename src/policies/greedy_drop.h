@@ -12,14 +12,11 @@
 
 namespace rtsmooth {
 
-/// Sheds lowest-byte-value slices from `buf` until occupancy <= target,
-/// considering only slices with byte value <= max_value. Ties are broken
+/// Sheds lowest-byte-value slices until occupancy <= target, breaking ties
 /// towards newer chunks (the paper allows arbitrary tie-breaking; newest
-/// keeps the policy deterministic). Returns what was freed. Shared between
-/// GreedyDropPolicy and the proactive policy.
-DropResult greedy_shed(ServerBuffer& buf, Bytes target,
-                       double max_value = 1e300);
-
+/// keeps the policy deterministic). The rule itself is shed::greedy_shed
+/// (policies/shed_algorithms.h), which the proactive policy and the
+/// daemon's value floor share.
 class GreedyDropPolicy final : public DropPolicy {
  public:
   GreedyDropPolicy() = default;

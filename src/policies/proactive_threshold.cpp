@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "policies/greedy_drop.h"
+#include "policies/shed_algorithms.h"
 #include "util/assert.h"
 
 namespace rtsmooth {
@@ -14,7 +14,7 @@ ProactiveThresholdPolicy::ProactiveThresholdPolicy(ProactiveConfig config)
 }
 
 DropResult ProactiveThresholdPolicy::shed(ServerBuffer& buf, Bytes target) {
-  return greedy_shed(buf, target);
+  return shed::greedy_shed(buf, target);
 }
 
 DropResult ProactiveThresholdPolicy::early_drop(ServerBuffer& buf, Bytes bound,
@@ -22,7 +22,7 @@ DropResult ProactiveThresholdPolicy::early_drop(ServerBuffer& buf, Bytes bound,
   const auto threshold = static_cast<Bytes>(
       std::floor(config_.watermark * static_cast<double>(bound)));
   if (buf.occupancy() <= threshold) return {};
-  return greedy_shed(buf, threshold, config_.value_floor);
+  return shed::greedy_shed(buf, threshold, config_.value_floor);
 }
 
 std::unique_ptr<DropPolicy> ProactiveThresholdPolicy::clone() const {

@@ -11,6 +11,11 @@
 // `Buffer` must provide the ServerBuffer query/mutation surface used by
 // policies: occupancy(), chunk_count(), chunk(i) (returning a Chunk with
 // `run`, `slices`, `head_sent`), droppable_slices(i), and drop_slices(i, k).
+//
+// Greedy is the one exception to the shared logic: its scan stops early at
+// a value floor the buffer supplies (ServerBuffer::min_value()), and the
+// reference keeps its own scan of every chunk, so the differential suite
+// checks that stop instead of sharing it.
 
 #pragma once
 
@@ -110,34 +115,44 @@ DropResult random_shed(Buffer& buf, Bytes target, Rng& rng) {
   return total;
 }
 
-/// Greedy (weighted) shed: repeatedly drop from the chunk with the lowest
-/// value per byte, skipping chunks at or above `max_value`. Single pass per
-/// round over the chunk descriptors; see policies/greedy_drop.h for the
-/// benefit-ordering rationale.
+/// greedy_shed's default `max_value`: no byte value is exempt.
+inline constexpr double kAnyValue = std::numeric_limits<double>::infinity();
+
+/// Greedy (weighted) shed: repeatedly drops from the droppable chunk with the
+/// lowest byte value, newest first on ties, considering only chunks whose
+/// byte value is <= `max_value` (a chunk at exactly `max_value` is shed too).
+/// See policies/greedy_drop.h for the benefit-ordering rationale.
+///
+/// The victim scan runs from the newest chunk and stops at the first
+/// droppable chunk whose value is at most `floor`, a lower bound on every
+/// droppable value: that chunk is the cheapest, and the newest of its value.
+/// `floor` starts as the buffer's min_value() and rises to each victim's
+/// value, which is valid because nothing is pushed or sent during one call,
+/// so the droppable set only shrinks. `Buffer` must provide min_value().
 template <class Buffer>
 DropResult greedy_shed(Buffer& buf, Bytes target,
-                       double max_value = std::numeric_limits<double>::max()) {
+                       double max_value = kAnyValue) {
   DropResult total;
+  double floor = buf.min_value();
   while (buf.occupancy() > target) {
-    // Linear scan for the cheapest droppable chunk. Buffers hold at most a
-    // few hundred chunks (runs, not slices), so this is not a hot spot; the
-    // microbench micro_policies tracks it.
     const std::size_t chunk_count = buf.chunk_count();
     std::size_t victim = chunk_count;
     double victim_value = max_value;
-    for (std::size_t i = 0; i < chunk_count; ++i) {
+    for (std::size_t i = chunk_count; i-- > 0;) {
       const Chunk& c = buf.chunk(i);
       const std::int64_t droppable =
           (i == 0 && c.head_sent > 0) ? c.slices - 1 : c.slices;
       if (droppable <= 0) continue;
       const double v = c.run->byte_value();
-      // '<=' prefers later (newer) chunks on ties.
-      if (v <= victim_value) {
+      // The first eligible chunk, then only strictly cheaper ones: a tie
+      // keeps the newer chunk.
+      if (victim == chunk_count ? v <= max_value : v < victim_value) {
         victim = i;
         victim_value = v;
+        if (v <= floor) break;
       }
     }
-    if (victim == chunk_count) break;  // nothing below max_value
+    if (victim == chunk_count) break;  // nothing at or below max_value
     const Bytes excess = buf.occupancy() - target;
     const Bytes slice = buf.chunk(victim).run->slice_size;
     const std::int64_t need = (excess + slice - 1) / slice;
@@ -147,6 +162,7 @@ DropResult greedy_shed(Buffer& buf, Bytes target,
     total.bytes += freed.bytes;
     total.weight += freed.weight;
     total.slices += freed.slices;
+    floor = victim_value;
   }
   return total;
 }

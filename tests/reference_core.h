@@ -11,7 +11,10 @@
 // Two rules keep the differential surface honest:
 //   1. Policy logic is NOT duplicated: both cores instantiate the same
 //      templates from policies/shed_algorithms.h, so a divergence can only
-//      come from the data structures under test.
+//      come from the data structures under test. Greedy is the exception:
+//      the production scan stops at a value floor, so the reference keeps
+//      the full scan (forward_greedy_shed below) and the suite checks the
+//      stop.
 //   2. Reference links subclass the production `Link` interface, so the
 //      production fault decorators (ScheduledFaultLink, GilbertElliottLink)
 //      wrap them unchanged and the lossy/recovery paths are compared too.
@@ -232,8 +235,42 @@ class ReferenceBoundedJitterLink final : public Link {
 
 // ---------------------------------------------------------------------------
 // Policies: the same shed templates as production, instantiated over the
-// reference buffer. Mirrors make_policy()'s name registry and defaults.
+// reference buffer, except Greedy's victim scan. Mirrors make_policy()'s name
+// registry and defaults.
 // ---------------------------------------------------------------------------
+
+/// Greedy with no early stop: every round scans every chunk, oldest to
+/// newest, and '<=' hands ties to the newer chunk. The victim is the
+/// droppable chunk with the lowest byte value <= `max_value`. Works over any
+/// buffer, so unit tests can run it on a ServerBuffer too.
+template <class Buffer>
+DropResult forward_greedy_shed(Buffer& buf, Bytes target,
+                               double max_value = shed::kAnyValue) {
+  DropResult total;
+  while (buf.occupancy() > target) {
+    const std::size_t chunk_count = buf.chunk_count();
+    std::size_t victim = chunk_count;
+    double victim_value = max_value;
+    for (std::size_t i = 0; i < chunk_count; ++i) {
+      if (buf.droppable_slices(i) <= 0) continue;
+      const double v = buf.chunk(i).run->byte_value();
+      if (v <= victim_value) {
+        victim = i;
+        victim_value = v;
+      }
+    }
+    if (victim == chunk_count) break;
+    const Bytes excess = buf.occupancy() - target;
+    const Bytes slice = buf.chunk(victim).run->slice_size;
+    const std::int64_t need = (excess + slice - 1) / slice;
+    const DropResult freed = buf.drop_slices(
+        victim, std::min(need, buf.droppable_slices(victim)));
+    total.bytes += freed.bytes;
+    total.weight += freed.weight;
+    total.slices += freed.slices;
+  }
+  return total;
+}
 
 class ReferencePolicy {
  public:
@@ -257,10 +294,10 @@ class ReferencePolicy {
   DropResult shed(ReferenceServerBuffer& buf, Bytes target) {
     switch (kind_) {
       case Kind::Tail: return shed::tail_shed(buf, target);
-      case Kind::Greedy: return shed::greedy_shed(buf, target, 1e300);
+      case Kind::Greedy: return forward_greedy_shed(buf, target);
       case Kind::Head: return shed::head_shed(buf, target);
       case Kind::Random: return shed::random_shed(buf, target, rng_);
-      case Kind::Proactive: return shed::greedy_shed(buf, target, 1e300);
+      case Kind::Proactive: return forward_greedy_shed(buf, target);
     }
     return {};
   }
@@ -270,7 +307,7 @@ class ReferencePolicy {
     const auto threshold = static_cast<Bytes>(
         std::floor(proactive_.watermark * static_cast<double>(bound)));
     if (buf.occupancy() <= threshold) return {};
-    return shed::greedy_shed(buf, threshold, proactive_.value_floor);
+    return forward_greedy_shed(buf, threshold, proactive_.value_floor);
   }
 
  private:

@@ -357,6 +357,44 @@ TEST(ScheduledFaultLinkUnit, LossRunHistogramOnlyAfterACompletedRun) {
   EXPECT_EQ(registry.counter("link.erased_pieces").value(), 7);
 }
 
+TEST(FaultTelemetry, EachLinkRecordsItsRunsUnderItsOwnName) {
+  // The scheduled link counts erased pieces per run ("link.loss_run"), the
+  // Gilbert-Elliott chain Bad-state steps per burst
+  // ("link.bad_burst_steps"): two units, two names, so a registry folding
+  // both links' cells never mixes them.
+  const Stream s = stream_of({units(0, 40)});
+  obs::Registry ge_registry;
+  // Both transitions are certain: Bad on odd steps, one-step bursts.
+  GilbertElliottLink chain(
+      /*propagation_delay=*/1,
+      GilbertElliottConfig{.p_good_to_bad = 1.0, .p_bad_to_good = 1.0},
+      Rng(3));
+  chain.set_telemetry(obs::Telemetry{.registry = &ge_registry});
+  obs::Registry program_registry;
+  ScheduledFaultLink program(/*propagation_delay=*/1,
+                             {{.loss_probability = 1.0}, {.from = 3}},
+                             Rng(3));
+  program.set_telemetry(obs::Telemetry{.registry = &program_registry});
+  for (Time t = 0; t < 6; ++t) {
+    chain.submit(t, piece_of(s, 0, 2));
+    (void)chain.deliver(t);
+    program.submit(t, piece_of(s, 0, 2));
+    (void)program.deliver(t);
+  }
+  EXPECT_FALSE(ge_registry.histograms().contains("link.loss_run"));
+  ASSERT_TRUE(ge_registry.histograms().contains("link.bad_burst_steps"));
+  const obs::Histogram& bursts =
+      ge_registry.histograms().at("link.bad_burst_steps");
+  EXPECT_EQ(bursts.count(), 2);  // Bad at steps 1 and 3, over at 2 and 4
+  EXPECT_EQ(bursts.max(), 1);
+  EXPECT_FALSE(program_registry.histograms().contains("link.bad_burst_steps"));
+  ASSERT_TRUE(program_registry.histograms().contains("link.loss_run"));
+  const obs::Histogram& runs =
+      program_registry.histograms().at("link.loss_run");
+  EXPECT_EQ(runs.count(), 1);  // pieces of steps 0-2, ended by step 3's
+  EXPECT_EQ(runs.max(), 3);
+}
+
 TEST(ScheduledFaultLinkUnit, AdvanceToReachesAGilbertElliottInnerLink) {
   // A chain that turns Bad at step 1 and stays Bad: only an advance_to
   // forwarded to the inner link can have moved it by the time it returns.

@@ -13,6 +13,7 @@
 #include "offline/pareto_dp.h"
 #include "offline/segment_tree.h"
 #include "offline/unit_optimal.h"
+#include "reference_offline.h"
 #include "stream_helpers.h"
 #include "util/rng.h"
 
@@ -245,6 +246,42 @@ TEST(UnitOptimal, LateFirstArrival) {
   EXPECT_EQ(result.accepted_per_run[1], 3);
   EXPECT_EQ(result.accepted_per_run[2], 1);
   EXPECT_EQ(result.accepted_per_run[3], 2);
+}
+
+TEST(UnitOptimal, BothSidesOfThePathChoiceMatchTheReference) {
+  // 200 runs over 100 steps: 200 * bit_width(101) / 101 + 1 = 14 classes
+  // take the per-class passes, 15 walk the tree. Each side must return the
+  // reference's OfflineResult field by field.
+  constexpr Time kSteps = 100;
+  constexpr std::size_t kRuns = 200;
+  const std::size_t limit = offline::class_pass_limit(kRuns, kSteps);
+  ASSERT_EQ(limit, 14u);
+  Rng rng(21);
+  for (const std::size_t classes : {std::size_t{1}, std::size_t{3}, limit,
+                                    limit + 1, std::size_t{40}}) {
+    std::vector<SliceRun> runs;
+    // Runs at both ends pin the horizon; the rest arrive anywhere.
+    runs.push_back(units(0, 5, 0.0));
+    runs.push_back(units(kSteps - 1, 5, 0.0));
+    for (std::size_t i = 2; i < kRuns; ++i) {
+      runs.push_back(units(rng.uniform_int(0, kSteps - 1),
+                           rng.uniform_int(1, 20),
+                           static_cast<Weight>(i % classes)));
+    }
+    const Stream s = stream_of(runs);
+    ASSERT_EQ(s.horizon(), kSteps);
+    for (const Bytes buffer : {1, 7, 40}) {
+      for (const Bytes rate : {1, 5, 12}) {
+        const auto fast = unit_optimal(s, buffer, rate);
+        const auto ref = refoffline::unit_optimal(s, buffer, rate);
+        EXPECT_EQ(fast.benefit, ref.benefit) << classes << " classes";
+        EXPECT_EQ(fast.accepted_bytes, ref.accepted_bytes);
+        EXPECT_EQ(fast.accepted_slices, ref.accepted_slices);
+        EXPECT_EQ(fast.accepted_per_run, ref.accepted_per_run)
+            << classes << " classes, B=" << buffer << " R=" << rate;
+      }
+    }
+  }
 }
 
 TEST(UnitOptimal, EmptyStream) {

@@ -516,6 +516,29 @@ Stream solver_stream(Rng& rng, Bytes max_size, std::int64_t max_steps,
   return Stream::from_runs(std::move(runs));
 }
 
+/// A unit stream with the frame-type values' shape: byte values from
+/// {0, 1, 8, 12}, two to four runs per step (often several of one value at
+/// one arrival), and a few idle steps before the first arrival. It has at
+/// least two runs per cell of the prefix curve, so its four values are
+/// within class_pass_limit() and unit_optimal takes the per-class passes.
+Stream few_valued_stream(Rng& rng) {
+  const Weight values[] = {0.0, 1.0, 8.0, 12.0};
+  std::vector<SliceRun> runs;
+  Time arrival = rng.uniform_int(0, 10);
+  const std::int64_t steps = rng.uniform_int(20, 200);
+  for (std::int64_t step = 0; step < steps; ++step, ++arrival) {
+    Weight value = values[rng.uniform_int(0, 3)];
+    for (std::int64_t k = rng.uniform_int(2, 4); k > 0; --k) {
+      if (rng.bernoulli(0.6)) value = values[rng.uniform_int(0, 3)];
+      runs.push_back(SliceRun{.arrival = arrival,
+                              .count = rng.uniform_int(1, 30),
+                              .weight = value,
+                              .frame_index = step});
+    }
+  }
+  return Stream::from_runs(std::move(runs));
+}
+
 bool same_result(const offline::OfflineResult& a,
                  const offline::OfflineResult& b) {
   return a.benefit == b.benefit && a.accepted_bytes == b.accepted_bytes &&
@@ -583,10 +606,11 @@ class OfflineReferenceCheck {
 };
 
 /// The exact solvers give their predecessors' answers bit for bit: on
-/// random instances every round, and once on clip-scale cnn-news inputs
-/// (byte-slice clips of 1000 frames, whole-frame clips, the quantized
-/// bracket and the state-limit fallback). Whole-frame DP clips stay at 40
-/// frames: the reference DP needs seconds at 100.
+/// random instances every round (the unit greedy on a many-valued stream
+/// and on a few-valued one that takes its per-class passes), and once on
+/// clip-scale cnn-news inputs (byte-slice clips of 1000 frames, whole-frame
+/// clips, the quantized bracket and the state-limit fallback). Whole-frame
+/// DP clips stay at 40 frames: the reference DP needs seconds at 100.
 TEST(PropertyFuzz, OfflineSolversMatchReference) {
   const int rounds = prop_iters();
   for (int round = 0; round < rounds; ++round) {
@@ -607,6 +631,11 @@ TEST(PropertyFuzz, OfflineSolversMatchReference) {
     }
     const Bytes quantum = rng.uniform_int(1, std::min(buffer, rate));
     if (!check.bracket(frames, buffer, rate, quantum)) return;
+    const Stream few = few_valued_stream(rng);
+    ASSERT_LE(4u, offline::class_pass_limit(few.run_count(), few.horizon()));
+    if (!check.unit(few, rng.uniform_int(1, 120), rng.uniform_int(1, 40))) {
+      return;
+    }
   }
 
   OfflineReferenceCheck check(0);
