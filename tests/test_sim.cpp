@@ -197,20 +197,6 @@ TEST(Simulator, PerTypeTalliesSumToTotals) {
   EXPECT_EQ(played, report.played.bytes);
 }
 
-TEST(Simulator, RunPoliciesHelperCoversAll) {
-  const Stream s = small_clip_stream(trace::Slicing::ByteSlices, 60);
-  const Plan plan =
-      Planner::from_buffer_rate(2 * s.max_frame_bytes(),
-                                sim::relative_rate(s, 1.0));
-  const std::vector<std::string> names = known_policies();
-  const auto outcomes = sim::run_policies(s, plan, names);
-  ASSERT_EQ(outcomes.size(), names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(outcomes[i].policy, names[i]);
-    EXPECT_TRUE(outcomes[i].report.conserves());
-  }
-}
-
 TEST(Simulator, TimerPlayoutEquivalentToFormulaOnFixedLink) {
   // Sect. 3.3: "the algorithm works without explicit clock
   // synchronization" — the timer-armed client produces the identical
