@@ -90,6 +90,11 @@ Gateway::Gateway(GatewayConfig config)
   class_budget_.assign(classes, 0);
   shard_demand_.assign(config_.shards, 0);
   shard_budget_.assign(config_.shards, 0);
+  for (std::size_t s = 0; s < config_.shards; ++s) {
+    arrive_tasks_.push_back([this, s] { arrive_and_demand(s); });
+    serve_tasks_.push_back([this, s] { serve_and_drop(s); });
+    uncontended_tasks_.push_back([this, s] { serve_uncontended(s); });
+  }
   class_order_.resize(classes);
   std::iota(class_order_.begin(), class_order_.end(), std::size_t{0});
   std::stable_sort(class_order_.begin(), class_order_.end(),
@@ -181,23 +186,16 @@ std::optional<StreamStats> Gateway::remove_stream(StreamId id) {
   return stats;
 }
 
-template <typename Fn>
-void Gateway::for_each_shard(Fn&& fn) {
-  const std::size_t n = pool_.shard_count();
-  if (runner_.threads() <= 1 || n <= 1) {
-    // In-place serial path: no task vector, no pool — and, per the
-    // determinism contract, the reference the parallel path must match.
-    for (std::size_t s = 0; s < n; ++s) fn(s);
-    run_stats_.tasks += n;
+void Gateway::for_each_shard(const ShardTasks& tasks) {
+  if (runner_.threads() <= 1 || tasks.size() <= 1) {
+    // In-place serial path: no pool — and, per the determinism contract,
+    // the reference the parallel path must match.
+    for (const std::function<void()>& task : tasks) task();
+    run_stats_.tasks += tasks.size();
     run_stats_.threads = std::max(run_stats_.threads, 1U);
     return;
   }
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    tasks.push_back([&fn, s] { fn(s); });
-  }
-  run_stats_ += runner_.run(std::move(tasks));
+  run_stats_ += runner_.run(tasks);
 }
 
 void Gateway::arrive_and_demand(std::size_t s) {
@@ -363,52 +361,53 @@ void Gateway::serve_and_drop(std::size_t s) {
   }
 }
 
+// Uncontended static sharing: sum(min(backlog_i, r_i)) <= sum(r_i) <= R, so
+// no cross-stream coupling exists and arrivals, service at min(backlog, r_i)
+// and the Eq. (3) shed fuse into one shard-parallel pass. (The budgeted path
+// computes the identical allocation — apportion() grants every demand when
+// they fit — this is purely the fast path.)
+void Gateway::serve_uncontended(std::size_t s) {
+  Shard& sh = pool_.shard(s);
+  ShardScratch& sc = scratch_[s];
+  sc.step_admitted = 0;
+  sc.step_served = 0;
+  sc.step_dropped = 0;
+  sc.step_on_time = 0;
+  sc.step_late = 0;
+  sc.step_max_late = 0;
+  sc.samples.clear();
+  sc.backlog_total = 0;
+  std::fill(sc.class_dropped.begin(), sc.class_dropped.end(), Bytes{0});
+  const std::vector<Bytes>* scripts = pool_.scripts().data();
+  const std::size_t n = sh.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Bytes a = arrival_bytes(sh, scripts, i, now_ - sh.joined[i]);
+    sh.backlog[i] += a;
+    sh.admitted[i] += a;
+    sc.step_admitted += a;
+    if (a > 0) sh.cohorts[i].push_back(now_, a);
+    const Bytes send = std::min(sh.backlog[i], sh.rate[i]);
+    sh.backlog[i] -= send;
+    sh.served[i] += send;
+    sc.step_served += send;
+    const Bytes drop = std::max<Bytes>(0, sh.backlog[i] - sh.buffer[i]);
+    sh.backlog[i] -= drop;
+    sh.dropped[i] += drop;
+    sc.step_dropped += drop;
+    sc.class_dropped[sh.klass[i]] += drop;
+    sc.backlog_total += sh.backlog[i];
+    settle_cohorts(sh, sc, i, send, drop);
+  }
+}
+
 void Gateway::step() {
   if (config_.sharing == SharePolicy::Static &&
       pool_.subscribed_rate() <= config_.rate) {
-    // Uncontended static sharing: sum(min(backlog_i, r_i)) <= sum(r_i) <= R,
-    // so no cross-stream coupling exists and arrivals, service at
-    // min(backlog, r_i) and the Eq. (3) shed fuse into one shard-parallel
-    // pass. (The budgeted path below computes the identical allocation —
-    // apportion() grants every demand when they fit — this is purely the
-    // fast path.)
-    for_each_shard([this](std::size_t s) {
-      Shard& sh = pool_.shard(s);
-      ShardScratch& sc = scratch_[s];
-      sc.step_admitted = 0;
-      sc.step_served = 0;
-      sc.step_dropped = 0;
-      sc.step_on_time = 0;
-      sc.step_late = 0;
-      sc.step_max_late = 0;
-      sc.samples.clear();
-      sc.backlog_total = 0;
-      std::fill(sc.class_dropped.begin(), sc.class_dropped.end(), Bytes{0});
-      const std::vector<Bytes>* scripts = pool_.scripts().data();
-      const std::size_t n = sh.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const Bytes a = arrival_bytes(sh, scripts, i, now_ - sh.joined[i]);
-        sh.backlog[i] += a;
-        sh.admitted[i] += a;
-        sc.step_admitted += a;
-        if (a > 0) sh.cohorts[i].push_back(now_, a);
-        const Bytes send = std::min(sh.backlog[i], sh.rate[i]);
-        sh.backlog[i] -= send;
-        sh.served[i] += send;
-        sc.step_served += send;
-        const Bytes drop = std::max<Bytes>(0, sh.backlog[i] - sh.buffer[i]);
-        sh.backlog[i] -= drop;
-        sh.dropped[i] += drop;
-        sc.step_dropped += drop;
-        sc.class_dropped[sh.klass[i]] += drop;
-        sc.backlog_total += sh.backlog[i];
-        settle_cohorts(sh, sc, i, send, drop);
-      }
-    });
+    for_each_shard(uncontended_tasks_);
   } else {
-    for_each_shard([this](std::size_t s) { arrive_and_demand(s); });
+    for_each_shard(arrive_tasks_);
     allocate_budgets();
-    for_each_shard([this](std::size_t s) { serve_and_drop(s); });
+    for_each_shard(serve_tasks_);
   }
   fold_step();
 }

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -127,6 +128,8 @@ class Gateway {
   /// Throws std::invalid_argument with the validate() message on a bad
   /// config.
   explicit Gateway(GatewayConfig config);
+  Gateway(const Gateway&) = delete;
+  Gateway& operator=(const Gateway&) = delete;
 
   /// Admission-checked join. Throws std::invalid_argument on a malformed
   /// spec; returns nullopt (and counts a rejected join) when the admission
@@ -190,19 +193,26 @@ class Gateway {
     std::vector<LatenessSample> samples;  ///< registry-enabled runs only
   };
 
+  /// One task per shard, built once: a dispatch allocates nothing.
+  using ShardTasks = std::vector<std::function<void()>>;
+
   void arrive_and_demand(std::size_t s);
   void allocate_budgets();
   void serve_and_drop(std::size_t s);
+  void serve_uncontended(std::size_t s);
   void settle_cohorts(Shard& sh, ShardScratch& sc, std::size_t i, Bytes send,
                       Bytes drop);
-  template <typename Fn>
-  void for_each_shard(Fn&& fn);
+  void for_each_shard(const ShardTasks& tasks);
   void fold_step();
 
   GatewayConfig config_;
   StreamPool pool_;
   sim::ParallelRunner runner_;
   sim::RunStats run_stats_;
+  // Per-shard phase tasks; they capture `this`, so a Gateway never moves.
+  ShardTasks arrive_tasks_;
+  ShardTasks serve_tasks_;
+  ShardTasks uncontended_tasks_;
   std::vector<ShardScratch> scratch_;
   // Serial-phase scratch (class water-fill + shard apportionment).
   std::vector<Bytes> class_demand_;

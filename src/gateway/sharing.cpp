@@ -1,7 +1,6 @@
 #include "gateway/sharing.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/assert.h"
 
@@ -40,41 +39,47 @@ void water_fill(Bytes budget, std::span<const double> weights,
   RTS_ASSERT(weights.size() == demand.size() && out.size() == demand.size());
   std::fill(out.begin(), out.end(), Bytes{0});
   Bytes remaining = std::max<Bytes>(budget, 0);
+  for (const Bytes d : demand) RTS_ASSERT(d >= 0);
 
-  // The active set shrinks by at least one class per outer round, so the
+  // The active classes are the ones still below their demand, visited in
+  // ascending index; a class leaves the set when it is granted its whole
+  // demand. The set shrinks by at least one class per outer round, so the
   // loop runs at most |classes| times. Class count is small (a handful of
   // service tiers), so the O(C^2) worst case is irrelevant next to the
-  // per-stream work it feeds.
-  std::vector<std::size_t> active;
-  active.reserve(demand.size());
-  for (std::size_t k = 0; k < demand.size(); ++k) {
-    RTS_ASSERT(demand[k] >= 0);
-    if (demand[k] > 0) active.push_back(k);
-  }
-
-  while (remaining > 0 && !active.empty()) {
+  // per-stream work it feeds, and nothing here allocates: the gateway calls
+  // this every step.
+  const std::size_t classes = demand.size();
+  const auto active = [&](std::size_t k) { return out[k] < demand[k]; };
+  while (remaining > 0) {
+    std::size_t hungry = 0;
     double total_w = 0.0;
-    for (const std::size_t k : active) total_w += weights[k];
+    for (std::size_t k = 0; k < classes; ++k) {
+      if (!active(k)) continue;
+      ++hungry;
+      total_w += weights[k];
+    }
+    if (hungry == 0) break;  // every class is granted its demand
     RTS_ASSERT(total_w > 0.0);
 
     // Weighted share of the *current* remainder, as an exact integer:
     // scale the double weights to a common 2^20 grid first so the division
     // below is pure integer arithmetic (bit-identical on every platform).
     constexpr std::int64_t kGrid = 1 << 20;
+    const auto grid = [&](std::size_t k) {
+      return std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(weights[k] / total_w * kGrid));
+    };
     std::int64_t grid_total = 0;
-    std::vector<std::int64_t> grid(active.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      grid[i] = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(weights[active[i]] / total_w * kGrid));
-      grid_total += grid[i];
+    for (std::size_t k = 0; k < classes; ++k) {
+      if (active(k)) grid_total += grid(k);
     }
 
     // Pass 1: fully satisfy every class whose remaining need fits inside
     // its share; their surplus returns to the pool for the next round.
     bool satisfied_any = false;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const std::size_t k = active[i];
-      const Bytes share = weighted_floor(remaining, grid[i], grid_total);
+    for (std::size_t k = 0; k < classes; ++k) {
+      if (!active(k)) continue;
+      const Bytes share = weighted_floor(remaining, grid(k), grid_total);
       const Bytes need = demand[k] - out[k];
       if (need <= share) {
         out[k] = demand[k];
@@ -82,24 +87,22 @@ void water_fill(Bytes budget, std::span<const double> weights,
         satisfied_any = true;
       }
     }
-    if (satisfied_any) {
-      std::erase_if(active, [&](std::size_t k) { return out[k] == demand[k]; });
-      continue;
-    }
+    if (satisfied_any) continue;
 
     // Every class wants more than its share: grant the floors, then the
     // sub-share remainder one byte at a time in index order (each active
-    // class strictly needs more than its floor, so +1 never overshoots).
+    // class strictly needs more than its floor, so it stays active and +1
+    // never overshoots).
     Bytes granted = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Bytes share = weighted_floor(remaining, grid[i], grid_total);
-      out[active[i]] += share;
+    for (std::size_t k = 0; k < classes; ++k) {
+      if (!active(k)) continue;
+      const Bytes share = weighted_floor(remaining, grid(k), grid_total);
+      out[k] += share;
       granted += share;
     }
     Bytes leftover = remaining - granted;
-    for (std::size_t i = 0; i < active.size() && leftover > 0; ++i) {
-      const std::size_t k = active[i];
-      if (out[k] < demand[k]) {
+    for (std::size_t k = 0; k < classes && leftover > 0; ++k) {
+      if (active(k)) {
         ++out[k];
         --leftover;
       }

@@ -89,12 +89,18 @@ Bytes arrival_bytes(const Shard& shard, const std::vector<Bytes>* scripts,
 }
 
 void CohortRing::grow() {
-  std::vector<Cohort> bigger(std::max<std::size_t>(slots_.size() * 2, 4));
-  for (std::size_t i = 0; i < size_; ++i) {
-    bigger[i] = slots_[(head_ + i) % slots_.size()];
+  // Capacities stay at most 2^31, so head + size never wraps 32 bits.
+  const std::uint32_t capacity = mask_ + 1;
+  RTS_ASSERT(capacity <= (std::uint32_t{1} << 30));
+  auto* bigger = new Cohort[2 * static_cast<std::size_t>(capacity)];
+  const Cohort* old = data();
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    bigger[i] = old[(head_ + i) & mask_];
   }
-  slots_ = std::move(bigger);
+  release();
+  heap_ = bigger;
   head_ = 0;
+  mask_ = 2 * capacity - 1;
 }
 
 StreamPool::StreamPool(std::size_t shards) : shards_(std::max<std::size_t>(shards, 1)) {}
@@ -127,8 +133,16 @@ StreamId StreamPool::add(const StreamSpec& spec, Time now) {
   shard.arr_period.push_back(spec.arrivals.on + spec.arrivals.off);
   shard.arr_seed.push_back(spec.arrivals.seed);
   if (spec.arrivals.kind == ArrivalModel::Kind::Script) {
-    shard.arr_script.push_back(static_cast<std::int32_t>(scripts_.size()));
-    scripts_.push_back(spec.arrivals.script);
+    std::int32_t script = 0;
+    if (free_scripts_.empty()) {
+      script = static_cast<std::int32_t>(scripts_.size());
+      scripts_.push_back(spec.arrivals.script);
+    } else {
+      script = free_scripts_.back();
+      free_scripts_.pop_back();
+      scripts_[static_cast<std::size_t>(script)] = spec.arrivals.script;
+    }
+    shard.arr_script.push_back(script);
   } else {
     shard.arr_script.push_back(-1);
   }
@@ -153,6 +167,12 @@ std::optional<StreamStats> StreamPool::remove(StreamId id, Time now) {
   subscribed_ -= shard.rate[slot];
   --live_;
   where_.erase(it);
+  if (const std::int32_t script = shard.arr_script[slot]; script >= 0) {
+    // Nothing reaches the departed stream's script after the swap below:
+    // free its bytes and recycle the entry.
+    std::vector<Bytes>().swap(scripts_[static_cast<std::size_t>(script)]);
+    free_scripts_.push_back(script);
+  }
 
   const std::size_t last = shard.size() - 1;
   if (slot != last) {

@@ -112,8 +112,16 @@ struct StreamStats {
 /// bytes first, matching the per-stream FIFO buffer), the Eq. (3) shed
 /// consumes the tail (the newest bytes are the ones over B_i). The cohort
 /// bytes sum to the stream's backlog column at every step boundary, so
-/// wait = serve_step - arrival is exact per byte. Capacity grows
-/// amortized and is recycled across steps — no steady-state allocation.
+/// wait = serve_step - arrival is exact per byte.
+///
+/// Storage: the first kInline cohorts live in the ring itself, so the
+/// cohort column holds them and a stream-step that stays inline touches no
+/// other memory (most rings hold one or two cohorts). Past that the ring
+/// spills to a heap slab that doubles when full and is recycled across
+/// steps, never shrunk — no steady-state allocation. The capacity is a
+/// power of two at every size, so indices wrap with a mask. Indices are
+/// 32-bit, checked on growth, which keeps the ring at 48 bytes. A move
+/// carries the inline cohorts along (swap-with-last removal moves rings).
 class CohortRing {
  public:
   struct Cohort {
@@ -121,29 +129,73 @@ class CohortRing {
     Bytes bytes = 0;
   };
 
+  /// Cohorts held without a heap slab; a power of two.
+  static constexpr std::uint32_t kInline = 2;
+  static_assert((kInline & (kInline - 1)) == 0);
+
+  CohortRing() = default;
+  CohortRing(CohortRing&& other) noexcept { take(other); }
+  CohortRing& operator=(CohortRing&& other) noexcept {
+    if (this != &other) {
+      release();
+      take(other);
+    }
+    return *this;
+  }
+  CohortRing(const CohortRing&) = delete;
+  CohortRing& operator=(const CohortRing&) = delete;
+  ~CohortRing() { release(); }
+
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  Cohort& front() { return slots_[head_]; }
-  Cohort& back() { return slots_[(head_ + size_ - 1) % slots_.size()]; }
+  std::size_t capacity() const { return std::size_t{mask_} + 1; }
+  Cohort& front() { return data()[head_]; }
+  Cohort& back() { return data()[(head_ + size_ - 1) & mask_]; }
 
   void push_back(Time arrival, Bytes bytes) {
-    if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) % slots_.size()] = Cohort{arrival, bytes};
+    if (size_ > mask_) grow();
+    data()[(head_ + size_) & mask_] = Cohort{arrival, bytes};
     ++size_;
   }
   void pop_front() {
-    head_ = (head_ + 1) % slots_.size();
+    head_ = (head_ + 1) & mask_;
     --size_;
   }
   void pop_back() { --size_; }
 
  private:
+  bool spilled() const { return mask_ >= kInline; }
+  Cohort* data() { return spilled() ? heap_ : inline_; }
+  /// Doubles the capacity, moving the cohorts to a slab in FIFO order.
   void grow();
+  void release() {
+    if (spilled()) delete[] heap_;
+  }
+  /// Takes `other`'s cohorts and leaves it empty and inline.
+  void take(CohortRing& other) noexcept {
+    if (other.spilled()) {
+      heap_ = other.heap_;
+    } else {
+      for (std::uint32_t k = 0; k < kInline; ++k) inline_[k] = other.inline_[k];
+    }
+    head_ = other.head_;
+    size_ = other.size_;
+    mask_ = other.mask_;
+    other.head_ = 0;
+    other.size_ = 0;
+    other.mask_ = kInline - 1;
+  }
 
-  std::vector<Cohort> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  union {
+    Cohort inline_[kInline]{};  ///< while capacity() == kInline
+    Cohort* heap_;              ///< once spilled
+  };
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
+  std::uint32_t mask_ = kInline - 1;  ///< capacity() - 1
 };
+// Swap-with-last removal moves a whole ring; keep the column slot small.
+static_assert(sizeof(CohortRing) <= 48);
 
 /// One shard's SoA columns. Exposed publicly (rather than hidden behind
 /// per-stream accessors) because the gateway's step kernels ARE the reason
@@ -221,7 +273,9 @@ class StreamPool {
 
   Shard& shard(std::size_t s) { return shards_[s]; }
   const Shard& shard(std::size_t s) const { return shards_[s]; }
-  /// Script side-table (append-only), indexed by Shard::arr_script.
+  /// Script side-table, indexed by Shard::arr_script. A departed stream's
+  /// entry is emptied and handed to the next scripted join, so the table
+  /// never outgrows the peak count of live scripted streams.
   const std::vector<std::vector<Bytes>>& scripts() const { return scripts_; }
 
  private:
@@ -229,6 +283,7 @@ class StreamPool {
 
   std::vector<Shard> shards_;
   std::vector<std::vector<Bytes>> scripts_;
+  std::vector<std::int32_t> free_scripts_;  ///< emptied scripts_ entries
   /// id -> (shard, slot); slot is patched on swap-remove.
   std::unordered_map<StreamId, std::pair<std::uint32_t, std::uint32_t>> where_;
   StreamId next_id_ = 0;

@@ -3,11 +3,20 @@
 // Every figure/table bench replays the same read-only Stream under dozens of
 // independent (plan, policy, link, severity) combinations; each combination
 // is a pure function of its inputs (seeded RNGs live inside the task, the
-// Stream is never mutated). ParallelRunner exploits that: every run() call
-// starts `width` std::thread workers, which pull tasks off a shared index —
-// no work stealing, no task dependencies — and joins them before it
-// returns. Results land in submission order, so a parallel batch is
-// byte-identical to running the same tasks in a serial loop.
+// Stream is never mutated). ParallelRunner exploits that: a run() call
+// hands the batch to `width - 1` parked helper threads and works as the
+// last worker itself; every worker pulls tasks off a shared index — no
+// work stealing, no task dependencies — and run() returns once every
+// helper has checked back in. Results land in submission order, so a
+// parallel batch is byte-identical to running the same tasks in a serial
+// loop.
+//
+// The helpers start on the first parallel run() and park on a condition
+// variable between batches (they block, never spin); the destructor joins
+// them. So a batch pays a wake-up, not a thread start-up, and a runner that
+// never runs in parallel starts no thread at all. run() serves one caller
+// at a time, and a task must never call run() on its own runner: that
+// would wait for itself. Both are checked (RTS_EXPECTS).
 //
 // Width control, in priority order:
 //   1. an explicit `threads` argument (SweepSpec::threads, --threads N),
@@ -19,9 +28,11 @@
 
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,32 +75,41 @@ struct RunStats {
 /// hardware_concurrency(); always returns at least 1.
 unsigned resolve_threads(unsigned requested);
 
-/// Executes a batch of independent tasks on `threads()` workers, started
-/// and joined by every run() call.
+/// Executes a batch of independent tasks on `threads()` workers: the
+/// calling thread plus `threads() - 1` helpers, started on the first
+/// parallel run() and parked between batches.
 ///
 /// Contract for tasks: each task owns all state it mutates (write to your
 /// own pre-allocated result slot; seed your own RNG). Tasks must not touch
 /// shared mutable state — the Stream and any captured configuration are
-/// read-only. A task that throws does not abort the batch: the remaining
-/// tasks still run, then the exception thrown by the lowest-indexed failing
-/// task is rethrown (deterministic, like the serial loop).
+/// read-only — and must not call run() on the runner that runs them. A
+/// task that throws does not abort the batch: the remaining tasks still
+/// run, then the exception thrown by the lowest-indexed failing task is
+/// rethrown (deterministic, like the serial loop).
 class ParallelRunner {
  public:
   /// `threads == 0` defers to RTSMOOTH_THREADS / the hardware; see
   /// resolve_threads().
   explicit ParallelRunner(unsigned threads = 0);
+  /// Joins the helpers, if any were started.
+  ~ParallelRunner();
+  ParallelRunner(const ParallelRunner&) = delete;
+  ParallelRunner& operator=(const ParallelRunner&) = delete;
 
   unsigned threads() const { return threads_; }
 
   /// Called after each task completes with (done, total). Invocations are
   /// serialized but their order follows completion, not submission; keep
-  /// the callback cheap — it runs under the workers' merge lock.
+  /// the callback cheap — it runs under the workers' merge lock. If it
+  /// throws, that counts as a failure of the task it reported.
   using Progress = std::function<void(std::size_t done, std::size_t total)>;
 
   /// Runs every task; task i's side effects are its own. Returns timing
   /// stats for the batch. `progress`, when given, is notified once per
-  /// completed task.
-  RunStats run(std::vector<std::function<void()>> tasks,
+  /// completed task. The batch is only read, so a caller can keep one task
+  /// list and run it again. One caller at a time; never from inside one of
+  /// this runner's own tasks.
+  RunStats run(const std::vector<std::function<void()>>& tasks,
                const Progress& progress = nullptr);
 
   /// Convenience: `results[i] = fn(i)` for i in [0, count), results in index
@@ -103,13 +123,18 @@ class ParallelRunner {
     for (std::size_t i = 0; i < count; ++i) {
       tasks.push_back([&results, &fn, i] { results[i] = fn(i); });
     }
-    const RunStats batch = run(std::move(tasks));
+    const RunStats batch = run(tasks);
     if (stats != nullptr) *stats += batch;
     return results;
   }
 
  private:
+  struct Batch;
+  struct Pool;
+
   unsigned threads_;
+  std::atomic<bool> running_{false};  ///< a run() is in progress
+  std::unique_ptr<Pool> pool_;        ///< helpers; null until needed
 };
 
 /// Per-cell telemetry isolation for a batch. Cells may run on any thread,

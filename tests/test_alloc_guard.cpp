@@ -18,7 +18,9 @@
 // attached (cached-pointer instruments and the recorder ring must also be
 // allocation-free per step). The JSONL tracer is exempt by design — it
 // builds strings. The daemon's LiveEngine gets the same marginal check over
-// its recycling run table, with telemetry off and with a registry.
+// its recycling run table, with telemetry off and with a registry, and so
+// does the gateway's step at one thread and at four, where each step hands
+// its shards to the runner's parked helpers.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,7 @@
 #include "core/planner.h"
 #include "core/slice.h"
 #include "daemon/live_engine.h"
+#include "gateway/gateway.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "policies/policy_factory.h"
@@ -225,6 +228,85 @@ TEST(LiveEngineAllocGuard, SteadyStateStepIsAllocationFreeWithRegistry) {
   EXPECT_EQ(base, doubled)
       << "the extra 300 engine steps allocated " << (doubled - base)
       << " times with a registry attached";
+}
+
+/// A gateway over periodic streams (constant gold and silver, on-off
+/// bronze), so after warm-up every step repeats the same arrivals, the same
+/// budgets and the same cohort ring sizes: allocs(T) == allocs(2T) iff the
+/// steady step is allocation-free. Contended WeightedShare dispatches twice
+/// per step (arrive, then serve); uncontended Static takes the fused pass.
+std::size_t count_gateway_allocs(Time steps, unsigned threads,
+                                 gateway::SharePolicy sharing,
+                                 obs::Registry* registry) {
+  std::vector<gateway::StreamSpec> specs;
+  Bytes subscribed = 0;
+  for (std::size_t i = 0; i < 48; ++i) {
+    switch (i % 3) {
+      case 0:
+        specs.push_back({.rate = 96, .deadline = 8, .weight_class = 0,
+                         .arrivals = gateway::ArrivalModel::constant(90)});
+        break;
+      case 1:
+        specs.push_back({.rate = 48, .deadline = 16, .weight_class = 1,
+                         .arrivals = gateway::ArrivalModel::constant(40)});
+        break;
+      default:
+        specs.push_back({.rate = 24, .deadline = 32, .weight_class = 2,
+                         .arrivals = gateway::ArrivalModel::on_off(
+                             64, 2, 6, static_cast<std::uint64_t>(i))});
+    }
+    subscribed += specs.back().rate;
+  }
+  const bool contended = sharing != gateway::SharePolicy::Static;
+  gateway::Gateway gw(gateway::GatewayConfig{
+      .rate = contended ? subscribed / 2 : subscribed,
+      .class_weights = {12.0, 8.0, 1.0},
+      .sharing = sharing,
+      .shards = 8,
+      .threads = threads,
+      .telemetry = {.registry = registry}});
+  for (const gateway::StreamSpec& spec : specs) gw.add_stream(spec);
+  g_news.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  gw.run(steps);
+  g_counting.store(false, std::memory_order_relaxed);
+  const std::size_t allocs = g_news.load(std::memory_order_relaxed);
+  const gateway::GatewayReport report = gw.report();
+  EXPECT_TRUE(report.conserves());
+  EXPECT_EQ(report.violations, 0);
+  EXPECT_GT(report.served, 0);
+  if (contended) {
+    EXPECT_GT(report.dropped, 0)
+        << "config no longer contends; the shed path is not exercised";
+  }
+  return allocs;
+}
+
+TEST(GatewayAllocGuard, SteadyStateStepIsAllocationFree) {
+#ifdef RTSMOOTH_ALLOC_GUARD_DISABLED
+  GTEST_SKIP() << "allocation counting disabled under AddressSanitizer";
+#endif
+  for (const unsigned threads : {1U, 4U}) {
+    for (const gateway::SharePolicy sharing :
+         {gateway::SharePolicy::WeightedShare, gateway::SharePolicy::Static}) {
+      for (const bool with_registry : {false, true}) {
+        SCOPED_TRACE(std::string(gateway::to_string(sharing)) +
+                     " threads=" + std::to_string(threads) +
+                     (with_registry ? " with a registry" : " null telemetry"));
+        // Fresh instruments per run: first-touch lookups are warm-up.
+        obs::Registry registry_base;
+        obs::Registry registry_doubled;
+        const std::size_t base = count_gateway_allocs(
+            200, threads, sharing, with_registry ? &registry_base : nullptr);
+        const std::size_t doubled = count_gateway_allocs(
+            400, threads, sharing,
+            with_registry ? &registry_doubled : nullptr);
+        EXPECT_EQ(base, doubled)
+            << "the extra 200 gateway steps allocated " << (doubled - base)
+            << " times: the step is no longer allocation-free after warm-up";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -12,13 +12,16 @@
 //
 // Plus the sharing-policy semantics (work conservation, priority
 // starvation, static non-redistribution), admission control, validation,
-// and flight-recorder integration.
+// flight-recorder integration, the cohort ring's inline-then-heap storage,
+// and the stream pool's script side-table under churn.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/planner.h"
@@ -34,6 +37,7 @@ namespace {
 
 using namespace rtsmooth;
 using gateway::ArrivalModel;
+using gateway::CohortRing;
 using gateway::Gateway;
 using gateway::GatewayConfig;
 using gateway::GatewayReport;
@@ -616,6 +620,177 @@ TEST(GatewayTelemetry, CountersMatchTheReport) {
   EXPECT_EQ(registry.counter("gateway.leaves").value(), report.leaves);
   EXPECT_EQ(registry.counter("gateway.violations").value(),
             report.violations);
+}
+
+// ---------------------------------------------------------------- CohortRing
+
+std::vector<Time> drain_arrivals(CohortRing& ring) {
+  std::vector<Time> out;
+  while (!ring.empty()) {
+    out.push_back(ring.front().arrival);
+    ring.pop_front();
+  }
+  return out;
+}
+
+bool power_of_two(std::size_t n) { return n > 0 && (n & (n - 1)) == 0; }
+
+TEST(CohortRing, SpillWhileWrappedKeepsFifoOrder) {
+  CohortRing ring;
+  static_assert(CohortRing::kInline == 2, "the wrap below assumes 2 inline");
+  ring.push_back(0, 10);
+  ring.push_back(1, 11);
+  ring.pop_front();
+  ring.push_back(2, 12);  // inline and wrapped: head at slot 1, tail at 0
+  ASSERT_EQ(ring.capacity(), CohortRing::kInline);
+  ring.push_back(3, 13);  // spills to the heap
+  ring.push_back(4, 14);
+  EXPECT_EQ(ring.capacity(), 4u);
+  EXPECT_EQ(ring.size(), 4u);
+  EXPECT_EQ(drain_arrivals(ring), (std::vector<Time>{1, 2, 3, 4}));
+}
+
+TEST(CohortRing, FrontBackAndPopBackAcrossTheWrap) {
+  for (const Time fill : {Time{2}, Time{8}}) {  // inline, then a heap slab
+    SCOPED_TRACE(fill);
+    const auto full = static_cast<std::size_t>(fill);
+    CohortRing ring;
+    for (Time t = 0; t < fill; ++t) ring.push_back(t, 1);
+    ASSERT_EQ(ring.capacity(), full);
+    ring.pop_front();
+    ring.push_back(fill, 1);  // wraps: the newest cohort lands in slot 0
+    ASSERT_EQ(ring.capacity(), full) << "no growth expected";
+    EXPECT_EQ(ring.front().arrival, 1);
+    EXPECT_EQ(ring.back().arrival, fill);
+    ring.back().bytes = 7;  // back() is the newest cohort, in place
+    EXPECT_EQ(ring.back().bytes, 7);
+    ring.pop_back();  // the tail steps back from slot 0 to the last slot
+    EXPECT_EQ(ring.back().arrival, fill - 1);
+    EXPECT_EQ(ring.back().bytes, 1);
+    ring.push_back(fill + 1, 2);  // refills slot 0
+    EXPECT_EQ(ring.back().arrival, fill + 1);
+    EXPECT_EQ(ring.back().bytes, 2);
+    std::vector<Time> expected;
+    for (Time t = 1; t < fill; ++t) expected.push_back(t);
+    expected.push_back(fill + 1);
+    EXPECT_EQ(drain_arrivals(ring), expected);
+  }
+}
+
+TEST(CohortRing, MovesKeepInlineAndSpilledContents) {
+  CohortRing inline_ring;
+  inline_ring.push_back(5, 50);
+  inline_ring.push_back(6, 60);
+  CohortRing moved(std::move(inline_ring));
+  EXPECT_TRUE(inline_ring.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.front().bytes, 50);
+  EXPECT_EQ(moved.back().bytes, 60);
+
+  CohortRing spilled;
+  for (Time t = 0; t < 9; ++t) spilled.push_back(t, t + 100);
+  spilled.pop_front();
+  CohortRing target;
+  target.push_back(99, 1);
+  target = std::move(spilled);
+  EXPECT_TRUE(spilled.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(target.capacity(), 16u);
+  EXPECT_EQ(drain_arrivals(target),
+            (std::vector<Time>{1, 2, 3, 4, 5, 6, 7, 8}));
+
+  // Move-assigning an inline ring over a spilled one frees the slab and
+  // takes the inline cohorts; the moved-from ring is reusable.
+  CohortRing big;
+  for (Time t = 0; t < 5; ++t) big.push_back(t, 1);
+  big = std::move(moved);
+  EXPECT_EQ(big.capacity(), CohortRing::kInline);
+  EXPECT_EQ(drain_arrivals(big), (std::vector<Time>{5, 6}));
+  moved.push_back(42, 1);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(drain_arrivals(moved), (std::vector<Time>{42}));
+
+  // Vector growth moves every ring it holds.
+  std::vector<CohortRing> column(3);
+  column[0].push_back(1, 1);
+  for (Time t = 0; t < 5; ++t) column[2].push_back(t, 1);
+  for (int k = 0; k < 64; ++k) column.emplace_back();
+  EXPECT_EQ(drain_arrivals(column[0]), (std::vector<Time>{1}));
+  EXPECT_EQ(drain_arrivals(column[2]), (std::vector<Time>{0, 1, 2, 3, 4}));
+}
+
+// A seeded random walk of pushes and head/tail pops against std::deque:
+// every read matches, and the capacity is a power of two at every size.
+TEST(CohortRing, MatchesADequeAndCapacityStaysAPowerOfTwo) {
+  CohortRing ring;
+  std::deque<CohortRing::Cohort> model;
+  std::uint64_t state = 12345;
+  Time now = 0;
+  for (int op = 0; op < 20000; ++op) {
+    state = gateway::mix64(state);
+    // Bias toward pushes early so the ring climbs through several sizes.
+    const unsigned roll = static_cast<unsigned>(state % 10);
+    if (model.empty() || roll < (op < 10000 ? 6U : 4U)) {
+      ring.push_back(now, static_cast<Bytes>(state >> 40));
+      model.push_back({now, static_cast<Bytes>(state >> 40)});
+      ++now;
+    } else if (roll % 2 == 0) {
+      ring.pop_front();
+      model.pop_front();
+    } else {
+      ring.pop_back();
+      model.pop_back();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    ASSERT_TRUE(power_of_two(ring.capacity())) << ring.capacity();
+    ASSERT_GE(ring.capacity(), ring.size());
+    if (!model.empty()) {
+      ASSERT_EQ(ring.front().arrival, model.front().arrival);
+      ASSERT_EQ(ring.front().bytes, model.front().bytes);
+      ASSERT_EQ(ring.back().arrival, model.back().arrival);
+      ASSERT_EQ(ring.back().bytes, model.back().bytes);
+    }
+  }
+  EXPECT_GT(ring.capacity(), 64u) << "the walk never grew the ring far";
+}
+
+// ------------------------------------------------------- script side-table
+
+TEST(StreamPoolScripts, DepartedScriptIsReleasedAndItsEntryReused) {
+  gateway::StreamPool pool(2);
+  const StreamSpec scripted{
+      .arrivals = ArrivalModel::from_script(std::vector<Bytes>(64, 7))};
+  const StreamId a = pool.add(scripted, 0);
+  const StreamId b = pool.add(scripted, 0);
+  ASSERT_EQ(pool.scripts().size(), 2u);
+
+  ASSERT_TRUE(pool.remove(a, 3).has_value());
+  // The departed stream's script is freed, not kept for the table's life.
+  EXPECT_TRUE(pool.scripts()[0].empty());
+  EXPECT_EQ(pool.scripts()[0].capacity(), 0u);
+  EXPECT_EQ(pool.scripts()[1].size(), 64u);  // b's script is untouched
+
+  // Churn through scripted streams: the table never outgrows the peak
+  // count of live scripted streams, and each live stream reads its own.
+  StreamId live = b;
+  for (Bytes k = 1; k <= 100; ++k) {
+    const StreamId next = pool.add(
+        StreamSpec{.arrivals = ArrivalModel::from_script({k, k})}, 4);
+    ASSERT_TRUE(pool.remove(live, 4).has_value());
+    live = next;
+  }
+  EXPECT_EQ(pool.scripts().size(), 2u);
+  const std::int32_t entry =
+      pool.shard(live % 2).arr_script[pool.shard(live % 2).size() - 1];
+  ASSERT_GE(entry, 0);
+  EXPECT_EQ(pool.scripts()[static_cast<std::size_t>(entry)],
+            (std::vector<Bytes>{100, 100}));
+  const gateway::Shard& shard = pool.shard(live % 2);
+  EXPECT_EQ(gateway::arrival_bytes(shard, pool.scripts().data(),
+                                   shard.size() - 1, 1),
+            100);
+  std::size_t held = 0;
+  for (const std::vector<Bytes>& script : pool.scripts()) {
+    held += script.size();
+  }
+  EXPECT_EQ(held, 2u) << "only the one live script holds bytes";
 }
 
 }  // namespace

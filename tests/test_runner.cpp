@@ -2,14 +2,18 @@
 // for any thread count, a parallel batch must produce results byte-identical
 // to the serial (threads = 1) path, in submission order — including the
 // merged telemetry registry, which folds per-cell registries in submission
-// order. Also covers the progress callback and queue-wait accounting.
+// order. Also covers the progress callback, queue-wait accounting, and the
+// parked helper pool's lifetime: helpers start once and serve every later
+// batch, and the runner joins them on destruction.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -40,6 +44,29 @@ FaultLinkFactory erasure_factory() {
 }
 
 // ------------------------------------------------------------ ParallelRunner
+
+/// Set by a task on the thread that runs it.
+thread_local bool t_marked = false;
+
+/// Holds every arriving task until `count` have arrived, so a batch of
+/// `count` such tasks on `count` workers puts one task on each worker.
+/// Gives up after a generous timeout instead of hanging the suite.
+class Rendezvous {
+ public:
+  explicit Rendezvous(unsigned count) : count_(count) {}
+  bool arrive_and_wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (++arrived_ == count_) all_.notify_all();
+    return all_.wait_for(lock, std::chrono::seconds(30),
+                         [this] { return arrived_ >= count_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable all_;
+  unsigned count_;
+  unsigned arrived_ = 0;
+};
 
 TEST(ParallelRunner, ResolveThreadsPrefersExplicitArgument) {
   EXPECT_EQ(resolve_threads(3), 3u);
@@ -95,6 +122,86 @@ TEST(ParallelRunner, LowestIndexedExceptionWinsDeterministically) {
     // A throwing task does not abort the batch at any width.
     EXPECT_EQ(executed.load(), 16) << "threads=" << threads;
   }
+}
+
+TEST(ParallelRunner, SecondRunReusesTheFirstRunsWorkers) {
+  constexpr unsigned kWidth = 4;
+  ParallelRunner runner(kWidth);
+  const auto batch = [](Rendezvous& meet, std::atomic<int>& met,
+                        std::atomic<int>& marked) {
+    std::vector<std::function<void()>> tasks;
+    for (unsigned i = 0; i < kWidth; ++i) {
+      tasks.push_back([meet = &meet, met = &met, marked = &marked] {
+        if (t_marked) marked->fetch_add(1);
+        t_marked = true;
+        if (meet->arrive_and_wait()) met->fetch_add(1);
+      });
+    }
+    return tasks;
+  };
+  // Batch 1: no worker can take a second task before all have met, so each
+  // of the kWidth workers runs exactly one and marks its thread.
+  Rendezvous first_meet(kWidth);
+  std::atomic<int> first_met{0};
+  std::atomic<int> first_marked{0};
+  runner.run(batch(first_meet, first_met, first_marked));
+  ASSERT_EQ(first_met.load(), static_cast<int>(kWidth));
+  // Batch 2: every worker again takes one task, and each must run on a
+  // thread batch 1 marked.
+  Rendezvous second_meet(kWidth);
+  std::atomic<int> second_met{0};
+  std::atomic<int> second_marked{0};
+  runner.run(batch(second_meet, second_met, second_marked));
+  ASSERT_EQ(second_met.load(), static_cast<int>(kWidth));
+  EXPECT_EQ(second_marked.load(), static_cast<int>(kWidth))
+      << "batch 2 ran on threads that batch 1 never used";
+}
+
+TEST(ParallelRunner, BatchAfterAThrowingBatchRunsEveryTask) {
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ParallelRunner runner(threads);
+    std::vector<std::function<void()>> failing(
+        8, [] { throw std::runtime_error("boom"); });
+    EXPECT_THROW(runner.run(failing), std::runtime_error)
+        << "threads=" << threads;
+    std::atomic<int> calls{0};
+    std::vector<std::function<void()>> tasks(
+        24, [&calls] { calls.fetch_add(1); });
+    EXPECT_NO_THROW(runner.run(tasks)) << "threads=" << threads;
+    EXPECT_EQ(calls.load(), 24) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelRunner, JoinsOnDestructionWhetherOrNotItEverRan) {
+  { ParallelRunner idle(4); }
+  {
+    // A one-task batch runs inline on the caller.
+    ParallelRunner narrow(4);
+    std::thread::id ran_on;
+    narrow.run({[&ran_on] { ran_on = std::this_thread::get_id(); }});
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+  }
+  {
+    ParallelRunner busy(4);
+    std::atomic<int> calls{0};
+    for (int k = 0; k < 5; ++k) {
+      busy.map<int>(16, [&calls](std::size_t i) {
+        calls.fetch_add(1);
+        return static_cast<int>(i);
+      });
+    }
+    EXPECT_EQ(calls.load(), 80);
+  }
+}
+
+TEST(ParallelRunnerDeathTest, TaskCallingRunOnItsOwnRunnerAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ParallelRunner runner(2);
+        runner.run({[&runner] { runner.run({[] {}}); }, [] {}});
+      },
+      "precondition");
 }
 
 TEST(ParallelRunner, StatsAccumulateAcrossBatches) {
@@ -220,6 +327,24 @@ TEST(RunnerProgress, ParallelReportsEveryTaskExactlyOnce) {
   // `done` is a running count, so the serialized invocations see 1..32.
   std::sort(seen.begin(), seen.end());
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i + 1);
+}
+
+TEST(RunnerProgress, ThrowingCallbackFailsTheBatchButRunsEveryTask) {
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ParallelRunner runner(threads);
+    std::atomic<int> calls{0};
+    std::vector<std::function<void()>> tasks(
+        12, [&calls] { calls.fetch_add(1); });
+    EXPECT_THROW(runner.run(tasks,
+                            [](std::size_t done, std::size_t) {
+                              if (done == 3) {
+                                throw std::runtime_error("progress");
+                              }
+                            }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_EQ(calls.load(), 12) << "threads=" << threads;
+  }
 }
 
 TEST(RunnerQueueWait, AccumulatesAcrossTasks) {

@@ -3,7 +3,7 @@
 and the working tree.
 
     tools/perf_ab.py --base REV [--workload W ...] [--pairs N]
-                     [--seconds S] [--seed K]
+                     [--seconds S] [--seed K] [--trace]
 
 Run from anywhere inside a checkout. The base revision is exported with
 `git archive` into a temporary directory (under $TMPDIR), which is removed
@@ -26,6 +26,14 @@ how many pairs the change won, and a verdict:
 * flat    anything else.
 
 Each workload ends with one summary line, the form CHANGES.md quotes.
+
+With --trace both sides run traced (perfbench --trace 1), and the tool
+pairs BENCHMARK.json's per-layer metrics instead: the same medians,
+interquartile ranges, change and pairs won, but no verdict, because
+per-layer metrics carry no bound. A metric that reads 0 on every run of
+both sides belongs to another workload and is left out. A traced
+comparison never exits 1.
+
 The tool only reads BENCHMARK.json and perfbench/. It exits 0 when no
 metric is worse, 1 when one is, and 2 on a rejected run or a failure to
 export, build or run.
@@ -90,30 +98,46 @@ def relative_change(base, change):
     return (change - base) / abs(base)
 
 
-def compare(metric, base, change):
-    """Statistics and verdict for one metric over paired runs: `metric` is
-    the BENCHMARK.json entry, `base[i]` and `change[i]` are pair i."""
+def paired(metric, base, change):
+    """Statistics for one metric over paired runs, without a verdict:
+    `metric` is the BENCHMARK.json entry, `base[i]` and `change[i]` are
+    pair i. A pair is won when the change is better by the metric's
+    `better` direction; a tie wins nothing."""
     assert base and len(base) == len(change)
     lower = metric["better"] == "lower"
     b_med, c_med = quantile(base, 0.5), quantile(change, 0.5)
-    b_iqr = (quantile(base, 0.25), quantile(base, 0.75))
-    c_iqr = (quantile(change, 0.25), quantile(change, 0.75))
     wins = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
-    delta = relative_change(b_med, c_med)
-    worse_by = delta if lower else -delta
-    gain = b_med - c_med if lower else c_med - b_med
-    if worse_by > metric["bound"]:
-        verdict = "worse"
-    elif wins >= WIN_SHARE * len(base) and gain > b_iqr[1] - b_iqr[0]:
-        verdict = "better"
-    else:
-        verdict = "flat"
     return {"name": metric["name"], "unit": metric["unit"],
-            "base": b_med, "base_iqr": b_iqr,
-            "change": c_med, "change_iqr": c_iqr,
-            "delta_pct": 100.0 * delta, "wins": wins, "pairs": len(base),
-            "identical": len(set(base) | set(change)) == 1,
-            "verdict": verdict}
+            "base": b_med,
+            "base_iqr": (quantile(base, 0.25), quantile(base, 0.75)),
+            "change": c_med,
+            "change_iqr": (quantile(change, 0.25), quantile(change, 0.75)),
+            "delta_pct": 100.0 * relative_change(b_med, c_med),
+            "wins": wins, "pairs": len(base),
+            "identical": len(set(base) | set(change)) == 1}
+
+
+def measured(rows):
+    """The rows of metrics the workload reports: a per-layer metric that
+    reads 0 on every run of both sides belongs to another workload."""
+    return [r for r in rows if not (r["identical"] and r["base"] == 0)]
+
+
+def compare(metric, base, change):
+    """paired() plus the verdict against the metric's bound."""
+    r = paired(metric, base, change)
+    lower = metric["better"] == "lower"
+    delta = relative_change(r["base"], r["change"])
+    worse_by = delta if lower else -delta
+    gain = r["base"] - r["change"] if lower else r["change"] - r["base"]
+    b_iqr = r["base_iqr"]
+    if worse_by > metric["bound"]:
+        r["verdict"] = "worse"
+    elif r["wins"] >= WIN_SHARE * r["pairs"] and gain > b_iqr[1] - b_iqr[0]:
+        r["verdict"] = "better"
+    else:
+        r["verdict"] = "flat"
+    return r
 
 
 def fmt(x):
@@ -133,8 +157,10 @@ def fmt_pct(x):
 
 
 def table(rows):
+    """Aligned rows; the verdict column only when the rows carry one."""
+    verdicts = all("verdict" in r for r in rows)
     header = ("metric", "base [IQR]", "change [IQR]", "delta", "won",
-              "verdict")
+              "verdict")[:6 if verdicts else 5]
     body = []
     for r in rows:
         body.append((
@@ -143,23 +169,44 @@ def table(rows):
             f"{fmt(r['base_iqr'][1])}]",
             f"{fmt(r['change'])} [{fmt(r['change_iqr'][0])}-"
             f"{fmt(r['change_iqr'][1])}]",
-            fmt_pct(r["delta_pct"]), f"{r['wins']}/{r['pairs']}",
-            r["verdict"]))
+            fmt_pct(r["delta_pct"]), f"{r['wins']}/{r['pairs']}")
+            + ((r["verdict"],) if verdicts else ()))
     widths = [max(len(row[i]) for row in [header] + body)
               for i in range(len(header))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
                      .rstrip() for row in [header] + body)
 
 
-def summary(workload, rows, base_rev, seed, seconds):
-    """The one line CHANGES.md quotes for a workload."""
+def summary(workload, rows, base_rev, seed, seconds, trace=False):
+    """The one line CHANGES.md quotes for a workload; traced rows carry no
+    verdict."""
     pairs = rows[0]["pairs"] if rows else 0
     parts = [f"{r['name']} {fmt_medians(r)} "
-             f"({fmt_pct(r['delta_pct'])}, {r['wins']}/{r['pairs']}, "
-             f"{r['verdict']})" for r in rows]
-    return (f"perf_ab {workload} vs {base_rev} (seed {seed}, {pairs} pairs "
-            f"of {seconds:g} s, all runs correct, 0 failed): "
-            + "; ".join(parts))
+             f"({fmt_pct(r['delta_pct'])}, {r['wins']}/{r['pairs']}"
+             + (f", {r['verdict']})" if "verdict" in r else ")")
+             for r in rows]
+    return (f"perf_ab {workload}{' --trace' if trace else ''} vs {base_rev} "
+            f"(seed {seed}, {pairs} pairs of {seconds:g} s, all runs "
+            f"correct, 0 failed): " + "; ".join(parts))
+
+
+def report(workload, metrics, results, base_rev, seed, seconds, trace):
+    """The printed comparison of one workload, from each side's list of
+    run results, and whether any metric is worse. Traced rows carry no
+    verdict, so a traced comparison is never worse."""
+    stats = paired if trace else compare
+    rows = [stats(m, [r[m["name"]] for r in results["base"]],
+                  [r[m["name"]] for r in results["change"]])
+            for m in metrics]
+    if trace:
+        rows = measured(rows)
+    pairs = len(results["base"])
+    text = "\n".join([
+        f"\n{workload}: base {base_rev} vs working tree, seed {seed}, "
+        f"{pairs} pairs of {seconds:g} s" + (", traced" if trace else ""),
+        table(rows),
+        summary(workload, rows, base_rev, seed, seconds, trace)])
+    return text, any(r.get("verdict") == "worse" for r in rows)
 
 
 def export(rev, dest):
@@ -172,11 +219,17 @@ def export(rev, dest):
         raise RuntimeError(f"cannot export {rev}")
 
 
-def run_side(checkout, workload, seed, seconds, label):
-    """One perfbench run in `checkout`; `label` names it in a rejection."""
-    command = [sys.executable, os.path.join("perfbench", "run.py"),
-               "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds)]
+def perfbench_command(workload, seed, seconds, trace):
+    """The perfbench/run.py invocation of one run, relative to a checkout."""
+    return [sys.executable, os.path.join("perfbench", "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(int(trace))]
+
+
+def run_side(checkout, workload, seed, seconds, label, trace):
+    """One perfbench run in `checkout`, traced when `trace`; `label` names
+    it in a rejection."""
+    command = perfbench_command(workload, seed, seconds, trace)
     out = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE,
                          stderr=subprocess.PIPE, text=True)
     try:
@@ -200,6 +253,9 @@ def main(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", action="store_true",
+                        help="pair traced runs and report the per-layer "
+                             "metrics, with no verdict")
     args = parser.parse_args(argv[1:])
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be >= 1 and --seconds > 0")
@@ -216,28 +272,24 @@ def main(argv):
     try:
         export(base_rev, tmp)
         sides = {"base": tmp, "change": ROOT}
+        metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
         for workload in args.workload or names:
             # Untimed pass: builds each side and checks it is correct.
             for side in ("base", "change"):
                 run_side(sides[side], workload, args.seed, 0,
-                         f"{workload} {side} check")
+                         f"{workload} {side} check", args.trace)
             results = {"base": [], "change": []}
             for i in range(args.pairs):
                 for side in pair_order(i):
                     results[side].append(run_side(
                         sides[side], workload, args.seed, args.seconds,
-                        f"{workload} {side} pair {i + 1}"))
+                        f"{workload} {side} pair {i + 1}", args.trace))
                 print(f"perf_ab: {workload} pair {i + 1}/{args.pairs}",
                       file=sys.stderr, flush=True)
-            rows = [compare(m, [r[m["name"]] for r in results["base"]],
-                            [r[m["name"]] for r in results["change"]])
-                    for m in spec["end_to_end"]]
-            print(f"\n{workload}: base {base_rev} vs working tree, seed "
-                  f"{args.seed}, {args.pairs} pairs of {args.seconds:g} s")
-            print(table(rows))
-            print(summary(workload, rows, base_rev, args.seed, args.seconds),
-                  flush=True)
-            if any(r["verdict"] == "worse" for r in rows):
+            text, worse = report(workload, metrics, results, base_rev,
+                                 args.seed, args.seconds, args.trace)
+            print(text, flush=True)
+            if worse:
                 worst = 1
     except (RunRejected, RuntimeError) as e:
         print(f"perf_ab: {e}", file=sys.stderr)

@@ -11,14 +11,17 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import perf_ab  # noqa: E402
 
 with open(os.path.join(perf_ab.ROOT, "BENCHMARK.json")) as f:
-    METRICS = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    SPEC = json.load(f)
+METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m for m in SPEC["per_layer"]}
 
 
 def result_line(correct=True, failed=0, **values):
     """One result line as perfbench/run.py prints it."""
+    units = {**METRICS, **PER_LAYER}
     return json.dumps({
         "attempted": 10, "correct": correct, "failed": failed,
-        "metrics": {name: {"value": v, "unit": METRICS[name]["unit"]}
+        "metrics": {name: {"value": v, "unit": units[name]["unit"]}
                     for name, v in values.items()}})
 
 
@@ -161,6 +164,116 @@ class CompareTest(unittest.TestCase):
                       line)
         table = perf_ab.table(rows)
         self.assertEqual(len(table.splitlines()), 3)
+
+
+class TraceTest(unittest.TestCase):
+    """--trace pairs the per-layer metrics, which carry no bound."""
+
+    def test_traced_runs_pass_the_trace_flag(self):
+        traced = perf_ab.perfbench_command("gateway_mux", 1, 10, True)
+        self.assertEqual(traced[-2:], ["--trace", "1"])
+        plain = perf_ab.perfbench_command("gateway_mux", 1, 10, False)
+        self.assertEqual(plain[-2:], ["--trace", "0"])
+        self.assertEqual(traced[:-1], plain[:-1])
+
+    def test_per_layer_metrics_have_a_direction_but_no_bound(self):
+        for m in SPEC["per_layer"]:
+            self.assertIn(m["better"], ("lower", "higher"), m["name"])
+            self.assertNotIn("bound", m, m["name"])
+
+    def test_a_traced_result_line_parses(self):
+        line = result_line(**{"sim.runner_dispatch_us": 78.5,
+                              "gateway.remove_stream_us": 0.61})
+        self.assertEqual(perf_ab.parse_result(line),
+                         {"sim.runner_dispatch_us": 78.5,
+                          "gateway.remove_stream_us": 0.61})
+
+    def test_paired_statistics_match_compare_without_a_verdict(self):
+        metric = PER_LAYER["sim.runner_dispatch_us"]
+        base = [80.0, 78.0, 93.0, 79.0, 85.0]
+        change = [20.0, 11.0, 19.0, 30.0, 12.0]
+        r = perf_ab.paired(metric, base, change)
+        self.assertNotIn("verdict", r)
+        self.assertEqual((r["base"], r["change"]), (80.0, 19.0))
+        self.assertEqual((r["wins"], r["pairs"]), (5, 5))
+        self.assertAlmostEqual(r["delta_pct"], -76.25)
+        bounded = dict(metric, bound=0.25)
+        full = perf_ab.compare(bounded, base, change)
+        self.assertEqual({k: v for k, v in full.items() if k != "verdict"}, r)
+
+    def test_wins_follow_the_direction_of_the_metric(self):
+        higher = PER_LAYER["obs.scrapes"]
+        self.assertEqual(higher["better"], "higher")
+        r = perf_ab.paired(higher, [10, 10, 10], [12, 9, 10])
+        self.assertEqual(r["wins"], 1)  # 12 > 10 wins, 9 loses, 10 ties
+
+    def test_metrics_of_other_workloads_are_left_out(self):
+        rows = [perf_ab.paired(PER_LAYER["sim.simulate_s"], [0.0] * 3,
+                               [0.0] * 3),
+                perf_ab.paired(PER_LAYER["sim.slots"], [0, 0, 0], [0, 0, 0]),
+                perf_ab.paired(PER_LAYER["sim.runner_dispatch_us"],
+                               [80.0] * 3, [20.0] * 3),
+                # Zero on one side only is a measurement, not an absence.
+                perf_ab.paired(PER_LAYER["obs.scrapes"], [0, 0, 0],
+                               [0, 1, 0]),
+                # So is a constant that is not zero.
+                perf_ab.paired(PER_LAYER["daemon.reconfigs"], [200] * 3,
+                               [200] * 3)]
+        self.assertEqual([r["name"] for r in perf_ab.measured(rows)],
+                         ["sim.runner_dispatch_us", "obs.scrapes",
+                          "daemon.reconfigs"])
+
+    def test_report_of_a_traced_pairing_has_no_verdict(self):
+        names = ["sim.runner_dispatch_us", "sim.simulate_s",
+                 "gateway.remove_stream_us"]
+        metrics = [PER_LAYER[n] for n in names]
+        base = [{"sim.runner_dispatch_us": 80.0 + i, "sim.simulate_s": 0.0,
+                 "gateway.remove_stream_us": 0.5} for i in range(4)]
+        # Twice as slow: an end-to-end metric this far off would be worse.
+        change = [{"sim.runner_dispatch_us": 160.0 + i,
+                   "sim.simulate_s": 0.0,
+                   "gateway.remove_stream_us": 1.0} for i in range(4)]
+        text, worse = perf_ab.report(
+            "gateway_mux", metrics, {"base": base, "change": change},
+            "abc1234", 1, 10, trace=True)
+        self.assertFalse(worse)
+        self.assertIn("4 pairs of 10 s, traced", text)
+        self.assertIn("sim.runner_dispatch_us", text)
+        self.assertNotIn("sim.simulate_s", text)  # 0 everywhere: left out
+        for word in ("better", "worse", "flat"):
+            self.assertNotIn(word, text)
+
+    def test_report_of_an_untraced_pairing_flags_worse(self):
+        base = [{"job_s": 1.0}] * 3
+        text, worse = perf_ab.report("sim_sparse", [METRICS["job_s"]],
+                                     {"base": base,
+                                      "change": [{"job_s": 2.0}] * 3},
+                                     "abc1234", 1, 20, trace=False)
+        self.assertTrue(worse)
+        self.assertIn("(+100.0%, 0/3, worse)", text)
+        _, worse = perf_ab.report("sim_sparse", [METRICS["job_s"]],
+                                  {"base": base, "change": base},
+                                  "abc1234", 1, 20, trace=False)
+        self.assertFalse(worse)
+
+    def test_table_and_summary_print_no_verdict(self):
+        rows = [perf_ab.paired(PER_LAYER["sim.runner_dispatch_us"],
+                               [80.0] * 4, [20.0] * 4),
+                perf_ab.paired(PER_LAYER["gateway.remove_stream_us"],
+                               [0.6, 0.7, 0.6, 0.7], [0.7, 0.8, 0.7, 0.8])]
+        table = perf_ab.table(rows)
+        header = table.splitlines()[0]
+        self.assertTrue(header.rstrip().endswith("won"), header)
+        for word in ("verdict", "better", "worse", "flat"):
+            self.assertNotIn(word, table)
+        line = perf_ab.summary("gateway_mux", rows, "abc1234", 1, 10,
+                               trace=True)
+        self.assertIn("perf_ab gateway_mux --trace vs abc1234", line)
+        self.assertIn("sim.runner_dispatch_us 80 -> 20 (-75.0%, 4/4)", line)
+        self.assertIn("gateway.remove_stream_us 0.65 -> 0.75 (+15.4%, 0/4)",
+                      line)
+        for word in ("better", "worse", "flat"):
+            self.assertNotIn(word, line)
 
 
 if __name__ == "__main__":
